@@ -1,8 +1,9 @@
 // dwsbench is the CI benchmark gate. It runs the event-engine
 // micro-benchmarks (BenchmarkEngineSteadyState: timing wheel, closure
 // path, and the retired heap queue kept as a reference), the execution
-// and memory fast paths, the end-to-end BenchmarkFullReportShort
-// (Table 1 from a cold session), and the observability pins
+// and memory fast paths (BenchmarkStoreLookup among them), the
+// end-to-end BenchmarkFullReportShort (Table 1 from a cold session), and
+// the observability pins
 // (BenchmarkHistRecord's zero-alloc record path, BenchmarkObsOverhead's
 // disabled-hook cost), and the static-analysis budgets
 // (BenchmarkProgramBuild, BenchmarkCostModel), parses ns/op and
@@ -109,10 +110,11 @@ var suites = []suite{
 	// The tentpole micro-benchmarks: wheel vs closure path vs retired heap.
 	{pkg: "./internal/engine", bench: "^BenchmarkEngineSteadyState$", benchtime: "1000000x", count: 5},
 	// Execution-core fast paths: pre-decoded issue + SoA ALU lane loops,
-	// and the map-free memory paths (tiered page lookup, MSHR table) with
-	// their zero allocs/op pins.
+	// and the map-free memory paths (tiered page lookup, MSHR table, the
+	// cache tag lookup at the 8-way and Figure 18's fully-associative
+	// geometries) with their zero allocs/op pins.
 	{pkg: "./internal/wpu", bench: "^BenchmarkIssueALU$", benchtime: "200x", count: 5},
-	{pkg: "./internal/mem", bench: "^BenchmarkFuncMemReadWrite$|^BenchmarkMSHRLookup$", benchtime: "2000000x", count: 5},
+	{pkg: "./internal/mem", bench: "^BenchmarkFuncMemReadWrite$|^BenchmarkMSHRLookup$|^BenchmarkStoreLookup$", benchtime: "2000000x", count: 5},
 	// End-to-end: Table 1 cold (eight full simulations, every kernel).
 	{pkg: ".", bench: "^BenchmarkFullReportShort$", benchtime: "1x", count: 3},
 	// Observability: the histogram record path must stay allocation-free
@@ -175,6 +177,11 @@ var relGates = []relGate{
 	// scatter both sides show on a loaded 1-core host while staying far
 	// below that failure signature.
 	{name: "StoreShardedParallel/sharded", ref: "StoreShardedParallel/single", tol: 0.40},
+	// The wide-store tag index: a 2,048-way lookup costs about what an
+	// 8-way scan does (baseline ratio 0.78). A wide store that falls back to
+	// scanning every way multiplies the ratio about 100-fold; the 50%
+	// tolerance absorbs the two few-nanosecond timings' scatter.
+	{name: "StoreLookup/2048way", ref: "StoreLookup/8way", tol: 0.50},
 }
 
 // tolOverrides widens the absolute ns/op gate for benchmarks whose

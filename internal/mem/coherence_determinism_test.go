@@ -17,8 +17,7 @@ func TestCheckCoherenceDeterministicReport(t *testing.T) {
 		install := func(l1 int, addr uint64) {
 			st := h.L1s[l1].store
 			w := st.victim(addr)
-			w.valid = true
-			st.setLine(w, addr)
+			st.install(w, addr)
 			w.state = Shared
 		}
 		install(2, 0x81000)

@@ -35,6 +35,19 @@ type Hierarchy struct {
 	DRAM *DRAM
 }
 
+// Validate reports a cache whose geometry cannot be built exactly — a way
+// count that does not divide the line count, a line size that is not a
+// power of two, or a cache smaller than one line — naming the cache.
+func (cfg HierarchyConfig) Validate() error {
+	if _, _, err := geometry(cfg.L1.SizeBytes, cfg.L1.Ways, cfg.L1.LineSize); err != nil {
+		return fmt.Errorf("L1 D-cache: %v", err)
+	}
+	if _, _, err := geometry(cfg.L2.SizeBytes, cfg.L2.Ways, cfg.L2.LineSize); err != nil {
+		return fmt.Errorf("L2 cache: %v", err)
+	}
+	return nil
+}
+
 // NewHierarchy builds the memory system with numL1 private caches attached.
 func NewHierarchy(q *engine.Queue, numL1 int, cfg HierarchyConfig) *Hierarchy {
 	h := &Hierarchy{

@@ -329,8 +329,7 @@ func (c *L1) install(m *l1MSHR, granted Coherence) {
 	if w == nil {
 		w = c.store.victim(m.lineAddr)
 		c.evict(w)
-		w.valid = true
-		c.store.setLine(w, m.lineAddr)
+		c.store.install(w, m.lineAddr)
 		w.dirty = false
 	}
 	w.state = granted

@@ -268,8 +268,7 @@ func (l *L2) fill(m *l2MSHR) {
 	if w == nil {
 		w = l.st.victim(m.lineAddr)
 		l.evict(w)
-		w.valid = true
-		l.st.setLine(w, m.lineAddr)
+		l.st.install(w, m.lineAddr)
 		w.dirty = false
 		w.sharers = 0
 		w.owner = -1

@@ -70,8 +70,7 @@ func TestProbePenaltyDelaysRequester(t *testing.T) {
 func TestVictimPrefersInvalidFrames(t *testing.T) {
 	s := newStore(512, 2, 128) // 4 lines, 2 ways, 2 sets
 	w1 := s.victim(0)
-	w1.valid = true
-	s.setLine(w1, 0)
+	s.install(w1, 0)
 	s.touch(w1)
 	v := s.victim(2 * 128 * 2) // same set (stride = numSets*lineSize = 256)
 	if v.valid {
@@ -82,12 +81,10 @@ func TestVictimPrefersInvalidFrames(t *testing.T) {
 func TestVictimLRUAmongValid(t *testing.T) {
 	s := newStore(512, 2, 128)
 	a := s.victim(0)
-	a.valid = true
-	s.setLine(a, 0)
+	s.install(a, 0)
 	s.touch(a)
 	b := s.victim(256)
-	b.valid = true
-	s.setLine(b, 256)
+	s.install(b, 256)
 	s.touch(b)
 	s.touch(a) // b is now LRU
 	if v := s.victim(512); v != b {
@@ -97,8 +94,9 @@ func TestVictimLRUAmongValid(t *testing.T) {
 
 func TestStoreRejectsBadGeometry(t *testing.T) {
 	for _, fn := range []func(){
-		func() { newStore(1024, 4, 100) }, // non-power-of-two line
-		func() { newStore(64, 4, 128) },   // smaller than one line
+		func() { newStore(1024, 4, 100) },  // non-power-of-two line
+		func() { newStore(64, 4, 128) },    // smaller than one line
+		func() { newStore(32768, 3, 128) }, // 3 ways do not divide 256 lines
 	} {
 		func() {
 			defer func() {

@@ -138,6 +138,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.WPUs <= 0 {
 		return nil, fmt.Errorf("sim: need at least one WPU")
 	}
+	if err := cfg.Hier.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %v", err)
+	}
 	cfg.Hier.Trace = cfg.Trace
 	// Under interleaved distribution adjacent lanes of a warp hold thread
 	// IDs one WPU-count apart; the WPUs scale their static per-pc

@@ -43,6 +43,44 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestNewRejectsTruncatingCacheGeometry: a way count that does not divide
+// the line count used to drop the remainder lines silently, so a run
+// labelled and cache-keyed as a 32 KB L1 simulated 255 frames.
+func TestNewRejectsTruncatingCacheGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"l1 3-way", func(c *Config) { c.Hier.L1.Ways = 3 },
+			"sim: L1 D-cache: 3 ways do not divide its 256 lines"},
+		{"l2 3 KB", func(c *Config) { c.Hier.L2.SizeBytes = 3 * 1024 },
+			"sim: L2 cache: 16 ways do not divide its 24 lines"},
+		{"l1 odd line", func(c *Config) { c.Hier.L1.LineSize = 96 },
+			"sim: L1 D-cache: line size 96 B is not a power of two"},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		_, err := New(cfg)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// Full associativity (0, or more ways than lines) and odd set counts
+	// that the ways divide exactly still build.
+	for _, set := range []func(*Config){
+		func(c *Config) { c.Hier.L1.Ways = 0 },
+		func(c *Config) { c.Hier.L1.Ways = 1024 },
+		func(c *Config) { c.Hier.L1.SizeBytes = 48 * 1024 },
+	} {
+		cfg := DefaultConfig()
+		set(&cfg)
+		if _, err := New(cfg); err != nil {
+			t.Errorf("exact geometry %+v rejected: %v", cfg.Hier.L1, err)
+		}
+	}
+}
+
 func TestThreadsABI(t *testing.T) {
 	regs := Threads(5, func(tid int, r *isa.RegFile) {
 		r.Set(4, int64(100+tid))
