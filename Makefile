@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline profile profile-diff report metrics trace update-goldens serve
+.PHONY: ci lint fmt-check vet dwslint dwsverify build test race fuzz bench bench-check bench-baseline profile profile-diff report metrics trace update-goldens serve
 
 ci: fmt-check vet lint build race test bench-check
 
@@ -44,6 +44,25 @@ test:
 # (concurrent submissions, SSE subscribers racing the publisher).
 race:
 	$(GO) test -race ./internal/report/... ./internal/obs/... ./internal/serve/...
+
+# Run every fuzz target, one at a time, for FUZZTIME each (not part of
+# ci: `go test` replays only the seed corpora). Failing inputs land in
+# the package's testdata/fuzz directory.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = \
+	./internal/program:FuzzVerify \
+	./internal/program:FuzzDivergence \
+	./internal/program:FuzzMemAccess \
+	./internal/program:FuzzCostModel \
+	./internal/mem:FuzzStoreIndex \
+	./internal/mem:FuzzCoherence \
+	./internal/serve:FuzzJobDecode
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "== $$name ($$pkg, $(FUZZTIME))"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME); \
+	done
 
 # Baseline perf snapshot: the full exhibit set at -j 1 vs -j GOMAXPROCS
 # (see EXPERIMENTS.md for recorded numbers).

@@ -143,8 +143,8 @@ var suites = []suite{
 	{pkg: "./internal/program", bench: "^BenchmarkProgramBuild$", benchtime: "2000x", count: 5},
 	// Cost-model budget: CostModelFor on the suite's largest kernel
 	// (KMeans assign at 256 threads) — trip counts, block execs, issue
-	// and tick bounds, per-site scores, 13-scheme ranking. Gated so the
-	// interval analyses stay cheap enough to run inside every Build.
+	// and tick bounds. Gated so the interval analyses stay cheap enough
+	// to run inside every Build.
 	{pkg: "./internal/workloads", bench: "^BenchmarkCostModel$", benchtime: "2000x", count: 5},
 }
 

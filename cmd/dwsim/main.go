@@ -271,7 +271,7 @@ func schemeList() string {
 // disasm prints each kernel's disassembly; it builds the workload against
 // a throwaway machine instead of simulating it.
 func disasm(name string, k report.Knobs) error {
-	spec, err := workloads.ByNameScaled(name, k.Scale)
+	spec, err := workloads.ByNameScaled(name, max(k.Scale, 1))
 	if err != nil {
 		return err
 	}

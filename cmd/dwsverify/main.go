@@ -11,6 +11,7 @@
 //	dwsverify -disasm         # also print each kernel's disassembly
 //	dwsverify -divergence     # also print each kernel's divergence report
 //	dwsverify -memaccess      # also print each kernel's memory-access report
+//	dwsverify -costmodel      # also print each kernel's cost-model report
 //
 // Exit status 1 when any kernel fails to build or has verifier findings.
 package main
@@ -33,10 +34,14 @@ func main() {
 		showDis   = flag.Bool("disasm", false, "print each kernel's disassembly with block and branch metadata")
 		showDiv   = flag.Bool("divergence", false, "print each kernel's divergence-analysis report (branch and access classes)")
 		showMem   = flag.Bool("memaccess", false, "print each kernel's memory-access report (access classes, transaction and bank-conflict bounds)")
-		showCost  = flag.Bool("costmodel", false, "print each kernel's static cost model (trip counts, cycle bounds, benefit scores, scheme ranking)")
+		showCost  = flag.Bool("costmodel", false, "print each kernel's static cost model (trip counts, block execution and cycle bounds)")
 	)
 	flag.Parse()
 
+	if err := workloads.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "dwsverify: %v\n", err)
+		os.Exit(1)
+	}
 	specs := workloads.AllWithScale(*scale)
 	if *benchName != "all" {
 		spec, err := workloads.ByNameScaled(*benchName, *scale)

@@ -5,19 +5,20 @@ import (
 )
 
 // buildIPdomCase assembles a kernel and returns (program, ipdom-by-block
-// from the bitset algorithm, ipdom-by-block from the CHK cross-check).
+// from the production facts, ipdom-by-block from the CHK oracle).
 func buildIPdomCase(t *testing.T, name string, emit func(b *Builder)) (*Program, []int, []int) {
 	t.Helper()
 	b := NewBuilder(name)
 	emit(b)
 	p := b.MustBuild()
-	return p, postDominators(p.Blocks), verifiedIPdom(p.Blocks)
+	return p, p.cfg.ipdom, chkIPdom(p.Blocks)
 }
 
-// TestIPdomEdgeCases drives both post-dominator algorithms — the bitset
-// fixpoint used by Build and the Cooper-Harvey-Kennedy recomputation used
-// by the verifier — through the CFG shapes that historically break ipdom
-// implementations, and checks they agree with hand-derived answers.
+// TestIPdomEdgeCases drives the production dominance facts (the bitset
+// set-fixpoint of cfg.go) and the Cooper-Harvey-Kennedy oracle
+// (oracle_test.go) through the CFG shapes that historically break ipdom
+// implementations, checks both against hand-derived answers, and checks
+// the full dominator and post-dominator sets against the oracle.
 func TestIPdomEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
@@ -140,11 +141,14 @@ func TestIPdomEdgeCases(t *testing.T) {
 			}
 			for blk, want := range tc.want {
 				if bitset[blk] != want {
-					t.Errorf("postDominators: block %d ipdom = %d, want %d", blk, bitset[blk], want)
+					t.Errorf("facts: block %d ipdom = %d, want %d", blk, bitset[blk], want)
 				}
 				if chk[blk] != want {
-					t.Errorf("verifiedIPdom: block %d ipdom = %d, want %d", blk, chk[blk], want)
+					t.Errorf("CHK oracle: block %d ipdom = %d, want %d", blk, chk[blk], want)
 				}
+			}
+			if err := checkDominanceFacts(p.Blocks, p.cfg); err != nil {
+				t.Error(err)
 			}
 		})
 	}
@@ -162,10 +166,13 @@ func TestIPdomAlgorithmsAgreeOnLatchlessLoop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("infinite loops are legal programs: %v", err)
 	}
-	bitset, chk := postDominators(p.Blocks), verifiedIPdom(p.Blocks)
+	bitset, chk := p.cfg.ipdom, chkIPdom(p.Blocks)
 	for blk := range p.Blocks {
 		if bitset[blk] != chk[blk] {
 			t.Errorf("block %d: bitset ipdom %d != CHK ipdom %d", blk, bitset[blk], chk[blk])
 		}
+	}
+	if err := checkDominanceFacts(p.Blocks, p.cfg); err != nil {
+		t.Error(err)
 	}
 }

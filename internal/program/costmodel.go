@@ -1,8 +1,8 @@
-// Static cost model: trip counts, cycle bounds, and subdivision-benefit
-// scores (the quantitative layer on top of the divergence lattice in
-// dataflow.go and the access-pattern analysis in memaccess.go).
+// Static cost model: trip counts and cycle bounds (the quantitative layer
+// on top of the divergence lattice in dataflow.go and the access-pattern
+// analysis in memaccess.go).
 //
-// Three results per kernel, all computed at Build time against
+// Two results per kernel, all computed at Build time against
 // DefaultCostParams and recomputable for any launch geometry
 // (CostModelFor, mirroring MemAccessFor):
 //
@@ -23,14 +23,7 @@
 //     argument for each term is spelled out inline below and in
 //     DESIGN.md.
 //
-//   - Subdivision-benefit scores: per divergent branch (§4.3) and per
-//     latency-divergent load/store (§4.4), an estimate of the overlap
-//     cycles dynamic warp subdivision could expose at that site, and a
-//     static ranking of the 13 schemes per kernel derived from those
-//     scores (a point-estimate heuristic, not a bound; EXPERIMENTS.md
-//     records its agreement with measured best schemes).
-//
-// Soundness contract for the bounds (not the heuristic estimates): the
+// Soundness contract for the bounds: the
 // launch runs cp.Threads threads under block distribution with the ABI of
 // sim.Threads/WPU.Launch (r1 = tid ∈ [0, Threads−1], r2 = Threads,
 // r3 = chunk-local index), registers declared via DeclareUniformRange
@@ -44,7 +37,7 @@ package program
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/isa"
@@ -472,67 +465,45 @@ func (p *Program) costEntry(cp CostParams) cstate {
 	return s
 }
 
-// costFixpoint runs the forward worklist fixpoint of the interval-affine
-// domain with widening (after two joins per block) and a sweep cap that
-// force-tops everything as a last-resort termination guarantee.
-func (p *Program) costFixpoint(cp CostParams, reach []bool) ([]cstate, []bool) {
+// costFixpoint solves the interval-affine domain forward with widening
+// (after two joins per block) and a sweep cap that force-tops everything
+// as a last-resort termination guarantee.
+func (p *Program) costFixpoint(cp CostParams) []cstate {
 	n := len(p.Blocks)
 	tmax := max(int64(cp.Threads)-1, 0)
-	in := make([]cstate, n)
-	seen := make([]bool, n)
 	joins := make([]int, n)
-	in[0] = p.costEntry(cp)
-	seen[0] = true
-	maxSweeps := 8*n + 32
-	for sweep := 0; ; sweep++ {
-		changed := false
-		for i := 0; i < n; i++ {
-			if !reach[i] || !seen[i] {
-				continue
+	in, _, capped := solveForward(p, p.costEntry(cp), 8*n+32,
+		func(b int, s *cstate) {
+			for pc := p.Blocks[b].Start; pc < p.Blocks[b].End; pc++ {
+				costStep(p.Code[pc], s, tmax)
 			}
-			s := in[i]
-			for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
-				costStep(p.Code[pc], &s, tmax)
-			}
-			for _, su := range p.Blocks[i].Succ {
-				if !seen[su] {
-					in[su] = s
-					seen[su] = true
-					changed = true
-					continue
+		},
+		nil,
+		func(b int, dst, s *cstate) bool {
+			any := false
+			for r := range dst {
+				j := cjoin(dst[r], s[r], tmax)
+				if joins[b] >= 2 {
+					j = cwiden(dst[r], j)
 				}
-				updated := in[su]
-				any := false
-				for r := range updated {
-					j := cjoin(updated[r], s[r], tmax)
-					if joins[su] >= 2 {
-						j = cwiden(updated[r], j)
-					}
-					if j != updated[r] {
-						updated[r] = j
-						any = true
-					}
-				}
-				if any {
-					in[su] = updated
-					joins[su]++
-					changed = true
+				if j != dst[r] {
+					dst[r] = j
+					any = true
 				}
 			}
-		}
-		if !changed {
-			break
-		}
-		if sweep >= maxSweeps {
-			for i := range in {
-				for r := range in[i] {
-					in[i][r] = topVal
-				}
+			if any {
+				joins[b]++
 			}
-			break
+			return any
+		})
+	if capped {
+		for i := range in {
+			for r := range in[i] {
+				in[i][r] = topVal
+			}
 		}
 	}
-	return in, seen
+	return in
 }
 
 // costBlockOut runs the transfer function over one block.
@@ -542,261 +513,6 @@ func (p *Program) costBlockOut(in cstate, b Block, tmax int64) cstate {
 		costStep(p.Code[pc], &s, tmax)
 	}
 	return s
-}
-
-// dominators computes forward dominator sets with the same O(n²) bitset
-// fixpoint style as cfg.go's postDominators (deliberately simple; kernels
-// are tens of blocks). dom[v] covers only reachable v; block 0 is entry.
-func dominators(blocks []Block, reach []bool) [][]uint64 {
-	n := len(blocks)
-	words := (n + 63) / 64
-	preds := make([][]int, n)
-	for i := range blocks {
-		if !reach[i] {
-			continue
-		}
-		for _, s := range blocks[i].Succ {
-			preds[s] = append(preds[s], i)
-		}
-	}
-	full := make([]uint64, words)
-	for v := 0; v < n; v++ {
-		if reach[v] {
-			full[v/64] |= 1 << (v % 64)
-		}
-	}
-	dom := make([][]uint64, n)
-	for v := 0; v < n; v++ {
-		dom[v] = make([]uint64, words)
-		if !reach[v] {
-			continue
-		}
-		if v == 0 {
-			dom[0][0] = 1
-		} else {
-			copy(dom[v], full)
-		}
-	}
-	tmp := make([]uint64, words)
-	for changed := true; changed; {
-		changed = false
-		for v := 1; v < n; v++ {
-			if !reach[v] {
-				continue
-			}
-			copy(tmp, full)
-			for _, pd := range preds[v] {
-				if !reach[pd] {
-					continue
-				}
-				for i := range tmp {
-					tmp[i] &= dom[pd][i]
-				}
-			}
-			tmp[v/64] |= 1 << (v % 64)
-			same := true
-			for i := range tmp {
-				if tmp[i] != dom[v][i] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				copy(dom[v], tmp)
-				changed = true
-			}
-		}
-	}
-	return dom
-}
-
-func domBit(set []uint64, v int) bool { return set[v/64]&(1<<(v%64)) != 0 }
-
-// postDomSets computes full post-dominator bitsets (the set version of
-// cfg.go's postDominators): pdom[v] holds every block that post-dominates
-// v. Blocks that cannot reach the exit get only themselves — their maximal
-// fixpoint is the vacuous full set, and a terminating run never executes
-// them, so no guarantee may be derived from their sets.
-func postDomSets(blocks []Block, reach []bool) [][]uint64 {
-	n := len(blocks)
-	words := (n + 63) / 64
-	full := make([]uint64, words)
-	for v := 0; v < n; v++ {
-		if reach[v] {
-			full[v/64] |= 1 << (v % 64)
-		}
-	}
-	pdom := make([][]uint64, n)
-	for v := 0; v < n; v++ {
-		pdom[v] = make([]uint64, words)
-		if !reach[v] {
-			continue
-		}
-		if len(blocks[v].Succ) == 0 {
-			pdom[v][v/64] |= 1 << (v % 64)
-		} else {
-			copy(pdom[v], full)
-		}
-	}
-	tmp := make([]uint64, words)
-	for changed := true; changed; {
-		changed = false
-		for v := n - 1; v >= 0; v-- {
-			if !reach[v] || len(blocks[v].Succ) == 0 {
-				continue
-			}
-			copy(tmp, full)
-			for _, s := range blocks[v].Succ {
-				for i := range tmp {
-					tmp[i] &= pdom[s][i]
-				}
-			}
-			tmp[v/64] |= 1 << (v % 64)
-			same := true
-			for i := range tmp {
-				if tmp[i] != pdom[v][i] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				copy(pdom[v], tmp)
-				changed = true
-			}
-		}
-	}
-	canExit := make([]bool, n)
-	for changed := true; changed; {
-		changed = false
-		for v := 0; v < n; v++ {
-			if canExit[v] || !reach[v] {
-				continue
-			}
-			ok := len(blocks[v].Succ) == 0
-			for _, s := range blocks[v].Succ {
-				if canExit[s] {
-					ok = true
-				}
-			}
-			if ok {
-				canExit[v] = true
-				changed = true
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if reach[v] && !canExit[v] {
-			for i := range pdom[v] {
-				pdom[v][i] = 0
-			}
-			pdom[v][v/64] |= 1 << (v % 64)
-		}
-	}
-	return pdom
-}
-
-// costLoop is one natural loop (back edges grouped by header).
-type costLoop struct {
-	header   int
-	inLoop   []bool
-	backSrcs []int
-}
-
-// naturalLoops finds back edges (u→h with h dominating u) and builds the
-// natural loop of each header, sorted by header ID. It also reports which
-// reachable blocks sit in irreducible cycles: remove the back edges and
-// Kahn-toposort; whatever cannot be ordered is in a cycle no dominating
-// header explains.
-func naturalLoops(blocks []Block, reach []bool, dom [][]uint64) (loops []costLoop, irreducible []bool) {
-	n := len(blocks)
-	preds := make([][]int, n)
-	for i := range blocks {
-		if !reach[i] {
-			continue
-		}
-		for _, s := range blocks[i].Succ {
-			preds[s] = append(preds[s], i)
-		}
-	}
-	byHeader := make(map[int][]int)
-	isBack := make(map[[2]int]bool)
-	for u := 0; u < n; u++ {
-		if !reach[u] {
-			continue
-		}
-		for _, h := range blocks[u].Succ {
-			if domBit(dom[u], h) {
-				byHeader[h] = append(byHeader[h], u)
-				isBack[[2]int{u, h}] = true
-			}
-		}
-	}
-	headers := make([]int, 0, len(byHeader))
-	for h := range byHeader {
-		headers = append(headers, h)
-	}
-	sort.Ints(headers)
-	for _, h := range headers {
-		lp := costLoop{header: h, inLoop: make([]bool, n), backSrcs: byHeader[h]}
-		lp.inLoop[h] = true
-		stack := append([]int(nil), byHeader[h]...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if lp.inLoop[v] {
-				continue
-			}
-			lp.inLoop[v] = true
-			stack = append(stack, preds[v]...)
-		}
-		loops = append(loops, lp)
-	}
-
-	irreducible = make([]bool, n)
-	indeg := make([]int, n)
-	for u := 0; u < n; u++ {
-		if !reach[u] {
-			continue
-		}
-		for _, s := range blocks[u].Succ {
-			if !isBack[[2]int{u, s}] {
-				indeg[s]++
-			}
-		}
-	}
-	var q []int
-	done := 0
-	total := 0
-	for v := 0; v < n; v++ {
-		if reach[v] {
-			total++
-			if indeg[v] == 0 {
-				q = append(q, v)
-			}
-		}
-	}
-	for len(q) > 0 {
-		v := q[len(q)-1]
-		q = q[:len(q)-1]
-		done++
-		for _, s := range blocks[v].Succ {
-			if isBack[[2]int{v, s}] {
-				continue
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				q = append(q, s)
-			}
-		}
-	}
-	if done < total {
-		for v := 0; v < n; v++ {
-			if reach[v] && indeg[v] > 0 {
-				irreducible[v] = true
-			}
-		}
-	}
-	return loops, irreducible
 }
 
 // LoopCost is one natural loop's trip-count verdict.
@@ -844,7 +560,8 @@ func negateRel(r loopRel) loopRel {
 // note. The second result reports whether the Lo bound is also valid as
 // a per-entry guarantee (single unconditional induction step and all
 // exits at the header).
-func (p *Program) loopTrips(lp *costLoop, in []cstate, dom [][]uint64, allLoops []costLoop, tmax int64, cp CostParams) (LoopCost, bool) {
+func (p *Program) loopTrips(lp *loop, in []cstate, tmax int64, cp CostParams) (LoopCost, bool) {
+	f := p.cfg
 	h := p.Blocks[lp.header]
 	lc := LoopCost{Header: lp.header, HeaderPC: h.Start, Trips: CostInterval{0, CostInf}}
 	fail := func(note string) (LoopCost, bool) {
@@ -856,28 +573,19 @@ func (p *Program) loopTrips(lp *costLoop, in []cstate, dom [][]uint64, allLoops 
 	if !term.Op.IsBranch() {
 		return fail("header does not end in a conditional branch")
 	}
-	startToID := make(map[int]int, len(p.Blocks))
-	for _, b := range p.Blocks {
-		startToID[b.Start] = b.ID
-	}
-	takenBlk, ok := startToID[term.Target]
-	if !ok {
-		return fail("branch target is not a block leader")
-	}
-	fallBlk, ok := startToID[h.End]
-	if !ok {
+	if h.End >= len(p.Code) {
 		return fail("header has no fallthrough block")
 	}
-	var cont, exit int
+	takenBlk, fallBlk := f.blockOf[term.Target], f.blockOf[h.End]
+	var cont int
 	switch {
 	case lp.inLoop[fallBlk] && !lp.inLoop[takenBlk]:
-		cont, exit = fallBlk, takenBlk
+		cont = fallBlk
 	case lp.inLoop[takenBlk] && !lp.inLoop[fallBlk]:
-		cont, exit = takenBlk, fallBlk
+		cont = takenBlk
 	default:
 		return fail("header branch does not exit the loop")
 	}
-	_ = exit
 	contWhileTrue := cont == fallBlk
 	if term.Op == isa.BNEZ {
 		contWhileTrue = cont == takenBlk
@@ -935,7 +643,7 @@ func (p *Program) loopTrips(lp *costLoop, in []cstate, dom [][]uint64, allLoops 
 		return pcs
 	}
 	headerIn := in[lp.header]
-	blockOf := p.blockOf()
+	blockOf := f.blockOf
 
 	// indStep checks whether x is an induction register: every in-loop
 	// def advances it by a loop-invariant step, all steps share a sign,
@@ -1114,11 +822,11 @@ func (p *Program) loopTrips(lp *costLoop, in []cstate, dom [][]uint64, allLoops 
 	if loValid {
 		defBlk := blockOf[indDefs[0]]
 		for _, src := range lp.backSrcs {
-			if !domBit(dom[src], defBlk) {
+			if !f.dom[src].has(defBlk) {
 				loValid = false
 			}
 		}
-		for _, other := range allLoops {
+		for _, other := range f.loops {
 			if other.header == lp.header || !lp.inLoop[other.header] {
 				continue
 			}
@@ -1156,38 +864,15 @@ type BlockCost struct {
 	Execs CostInterval
 }
 
-// SiteBenefit is the §4.3/§4.4 subdivision-benefit estimate for one
-// divergent branch or latency-divergent memory site: roughly the cycles
-// of useful overlap subdividing there could expose across the launch.
-// A heuristic score for ranking sites and schemes, not a bound.
-type SiteBenefit struct {
-	PC      int
-	Kind    string // "branch", "ld", or "st"
-	Class   string
-	Benefit float64
-}
-
-// SchemeScore is one scheme's predicted cycle estimate; lower is better.
-type SchemeScore struct {
-	Scheme string
-	Est    float64
-}
-
 // SchemeTraits names the mechanism flags of one scheme the cost model
 // reasons about. CostSchemes lists all 13 in wpu.AllSchemes order; a
 // consistency test in internal/workloads pins names and flags against
 // wpu.Scheme.Apply.
 type SchemeTraits struct {
-	Name             string
-	SubdivBranch     bool // subdivide on divergent branches
-	PCReconv         bool // PC-based re-convergence
-	MemSplit         bool // subdivide on divergent memory accesses
-	MemLazy          bool
-	MemRevive        bool
-	MemPredictive    bool
-	MemBranchLimited bool
-	Slip             bool
-	SlipBypass       bool
+	Name         string
+	SubdivBranch bool // subdivide on divergent branches
+	MemSplit     bool // subdivide on divergent memory accesses
+	Slip         bool // adaptive slip
 }
 
 // UsesWST reports whether the scheme can create warp splits at all (and
@@ -1198,17 +883,17 @@ func (t SchemeTraits) UsesWST() bool { return t.SubdivBranch || t.MemSplit || t.
 var CostSchemes = []SchemeTraits{
 	{Name: "Conv"},
 	{Name: "DWS.BranchOnly.Stack", SubdivBranch: true},
-	{Name: "DWS.BranchOnly", SubdivBranch: true, PCReconv: true},
-	{Name: "DWS.AggressSplit.BL", PCReconv: true, MemSplit: true, MemBranchLimited: true},
-	{Name: "DWS.LazySplit.BL", PCReconv: true, MemSplit: true, MemLazy: true, MemBranchLimited: true},
-	{Name: "DWS.ReviveSplit.BL", PCReconv: true, MemSplit: true, MemRevive: true, MemBranchLimited: true},
-	{Name: "DWS.ReviveSplit.MemOnly", PCReconv: true, MemSplit: true, MemRevive: true},
-	{Name: "DWS.AggressSplit", SubdivBranch: true, PCReconv: true, MemSplit: true},
-	{Name: "DWS.LazySplit", SubdivBranch: true, PCReconv: true, MemSplit: true, MemLazy: true},
-	{Name: "DWS.ReviveSplit", SubdivBranch: true, PCReconv: true, MemSplit: true, MemRevive: true},
-	{Name: "DWS.PredictiveSplit", SubdivBranch: true, PCReconv: true, MemSplit: true, MemPredictive: true},
+	{Name: "DWS.BranchOnly", SubdivBranch: true},
+	{Name: "DWS.AggressSplit.BL", MemSplit: true},
+	{Name: "DWS.LazySplit.BL", MemSplit: true},
+	{Name: "DWS.ReviveSplit.BL", MemSplit: true},
+	{Name: "DWS.ReviveSplit.MemOnly", MemSplit: true},
+	{Name: "DWS.AggressSplit", SubdivBranch: true, MemSplit: true},
+	{Name: "DWS.LazySplit", SubdivBranch: true, MemSplit: true},
+	{Name: "DWS.ReviveSplit", SubdivBranch: true, MemSplit: true},
+	{Name: "DWS.PredictiveSplit", SubdivBranch: true, MemSplit: true},
 	{Name: "Slip", Slip: true},
-	{Name: "Slip.BranchBypass", Slip: true, SlipBypass: true, SubdivBranch: true, PCReconv: true},
+	{Name: "Slip.BranchBypass", SubdivBranch: true, Slip: true},
 }
 
 // CostBucketLabels mirrors wpu.CycleBucketLabels (same strings, same
@@ -1240,15 +925,6 @@ type CostModel struct {
 	// Buckets bounds each taxonomy bucket (CostBucketLabels order) for
 	// the most permissive scheme; BucketBoundsFor tightens per scheme.
 	Buckets [8]CostInterval
-	// Predicted is the heuristic point-estimate split over the first four
-	// buckets (busy, mem_coherent, mem_divergent, barrier), as fractions
-	// summing to 1 (all zero for an empty estimate).
-	Predicted [4]float64
-	// Sites are the per-branch and per-access subdivision benefits, in pc
-	// order.
-	Sites []SiteBenefit
-	// Ranking orders the 13 schemes by predicted cycles, best first.
-	Ranking []SchemeScore
 }
 
 // BucketBoundsFor tightens the bucket bounds for one scheme: a scheme
@@ -1295,16 +971,15 @@ func (p *Program) CostModel() *CostModel { return p.cost }
 func (p *Program) CostModelFor(cp CostParams) *CostModel {
 	cp = cp.normalizedFor(p)
 	m := &CostModel{Params: cp}
-	reach := p.reachableBlocks()
-	in, _ := p.costFixpoint(cp, reach)
-	dom := dominators(p.Blocks, reach)
-	loops, irreducible := naturalLoops(p.Blocks, reach, dom)
+	f := p.cfg
+	reach, dom, loops, irreducible := f.reach, f.dom, f.loops, f.irreducible
+	in := p.costFixpoint(cp)
 	tmax := max(int64(cp.Threads)-1, 0)
 
 	// Trip counts per loop.
 	loValid := make([]bool, len(loops))
 	for i := range loops {
-		lc, lv := p.loopTrips(&loops[i], in, dom, loops, tmax, cp)
+		lc, lv := p.loopTrips(&loops[i], in, tmax, cp)
 		if irreducible[loops[i].header] {
 			lc.Trips = CostInterval{0, CostInf}
 			lc.Note = "irreducible region"
@@ -1350,7 +1025,6 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 	//      outside predecessor p of its header whose only successor is
 	//      the header; per entry the header runs tripsLo+1 times and any
 	//      in-loop block dominating every back edge runs tripsLo times.
-	pdom := postDomSets(p.Blocks, reach)
 	sameLoops := func(a, b int) bool {
 		for _, lp := range loops {
 			if lp.inLoop[a] != lp.inLoop[b] {
@@ -1382,7 +1056,7 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 				continue
 			}
 			for x := range p.Blocks {
-				if x != bid && reach[x] && domBit(pdom[bid], x) && sameLoops(x, bid) {
+				if x != bid && reach[x] && f.pdom[bid].has(x) && sameLoops(x, bid) {
 					raise(x, execs[bid].Lo)
 				}
 			}
@@ -1416,7 +1090,7 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 				}
 				domsAll := true
 				for _, src := range lp.backSrcs {
-					if !domBit(dom[src], bid) {
+					if !dom[src].has(bid) {
 						domsAll = false
 					}
 				}
@@ -1466,43 +1140,29 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 			}
 		}
 	}
-	blockOf := p.blockOf()
-	entryDiv := make([]bool, len(p.Blocks))
-	outDiv := make([]bool, len(p.Blocks))
-	for changed := true; changed; {
-		changed = false
-		for bid, b := range p.Blocks {
-			if !reach[bid] {
-				continue
+	blockOf := f.blockOf
+	entryDiv, _, _ := solveForward(p, false, 0,
+		func(b int, d *bool) {
+			*d = *d || slices.Contains(divSrc[p.Blocks[b].Start:p.Blocks[b].End], true)
+		},
+		nil,
+		func(_ int, dst, d *bool) bool {
+			if *d && !*dst {
+				*dst = true
+				return true
 			}
-			o := entryDiv[bid]
-			for pc := b.Start; pc < b.End; pc++ {
-				if divSrc[pc] {
-					o = true
-				}
-			}
-			if o && !outDiv[bid] {
-				outDiv[bid] = true
-				changed = true
-			}
-			for _, s := range b.Succ {
-				if outDiv[bid] && !entryDiv[s] {
-					entryDiv[s] = true
-					changed = true
-				}
-			}
-		}
-	}
+			return false
+		})
 	diverged := make([]bool, len(p.Code))
 	for bid, b := range p.Blocks {
 		if !reach[bid] {
 			continue
 		}
-		f := entryDiv[bid]
+		d := entryDiv[bid]
 		for pc := b.Start; pc < b.End; pc++ {
-			diverged[pc] = f
+			diverged[pc] = d
 			if divSrc[pc] {
-				f = true
+				d = true
 			}
 		}
 	}
@@ -1605,198 +1265,7 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 		m.Buckets[6] = CostInterval{0, tickHi}
 	}
 
-	p.costPredictAndRank(m, execs, blockOf, memTx, g, reach)
 	return m
-}
-
-// missProb and divShare are the per-access-class heuristics behind the
-// predicted split and the benefit scores: the assumed L1 miss
-// probability and the fraction of memory wait attributable to
-// intra-warp hit/miss divergence. Calibrated against the measured stall
-// taxonomy of the eight benchmarks (EXPERIMENTS.md).
-var (
-	missProb = [NumAccessClasses]float64{0.05, 0.20, 0.35, 0.60}
-	divShare = [NumAccessClasses]float64{0, 0.10, 0.35, 0.60}
-	// benefitDivP scales memory-site benefits by class (a gather exposes
-	// far more overlap than an already-coalesced access).
-	benefitDivP = [NumAccessClasses]float64{0, 0.25, 0.50, 0.80}
-)
-
-// schemeGain maps one scheme's mechanism flags to linear weights over the
-// kernel's static divergence intensities. With bShare and mShare the
-// benefit mass of divergent branches and latency-divergent accesses as
-// fractions of the baseline estimate (each clamped to [0,1]), the
-// predicted recovered fraction is
-//
-//	gain = mM·mShare + mB·bShare − oh
-//
-// and the scheme estimate is total·(1 − gain). The weights are calibrated
-// against the measured 13-scheme × 8-benchmark grid (EXPERIMENTS.md):
-// memory subdivision with revival recovers the most and branch-limited
-// re-convergence only pays where divergent branches are dense (its mem
-// splits retire at the next branch, so high bShare means frequent cheap
-// re-convergence and low bShare means the splits barely run) — hence the
-// large mB on the .BL rows. Subdividing on branches carries a small
-// fragmentation overhead oh that the exposed overlap must beat, largest
-// for the stack-based variant that cannot re-converge early.
-func schemeGain(t SchemeTraits) (mB, mM, oh float64) {
-	switch {
-	case t.Slip:
-		mM, mB = 0.18, 1.0
-		if t.SlipBypass {
-			mB, oh = 1.2, 0.02
-		}
-	case t.MemBranchLimited:
-		mM = 0.15
-		switch {
-		case t.MemRevive:
-			mB = 4.2
-		case t.MemLazy:
-			mB = 3.6
-		default: // aggressive
-			mB = 4.0
-		}
-	case t.MemPredictive:
-		mM, mB, oh = 0.305, 1.5, 0.01
-	case t.MemRevive:
-		mM = 0.30
-		if t.SubdivBranch {
-			mB, oh = 1.5, 0.01
-		}
-	case t.MemLazy:
-		mM, mB, oh = 0.25, 1.5, 0.015
-	case t.MemSplit:
-		mM, mB, oh = 0.22, 1.5, 0.02 // aggressive: overlap minus over-subdivision
-	case t.SubdivBranch:
-		if t.PCReconv {
-			mB, oh = 2.0, 0.01
-		} else {
-			mB, oh = 1.0, 0.06 // stack re-convergence: rigid join points
-		}
-	}
-	return mB, mM, oh
-}
-
-// costPredictAndRank fills the heuristic layers: the predicted
-// stall-taxonomy split, the per-site benefits, and the scheme ranking.
-func (p *Program) costPredictAndRank(m *CostModel, execs []CostInterval, blockOf []int, memTx map[int]int, g costGeom, reach []bool) {
-	cp := m.Params
-	execApprox := func(bid int) float64 {
-		e := execs[bid]
-		if e.Unbounded() {
-			return float64(e.Lo + 1)
-		}
-		return float64(e.Hi)
-	}
-	warps := float64(g.totalWarps)
-
-	var busyEst, memCohEst, memDivEst, barrEst float64
-	for pc, inst := range p.Code {
-		if !reach[blockOf[pc]] {
-			continue
-		}
-		e := execApprox(blockOf[pc]) * warps
-		busyEst += e
-		switch {
-		case inst.Op.IsMem():
-			cls := AccessGather
-			for _, a := range p.memAccess {
-				if a.PC == pc {
-					cls = a.AClass
-					break
-				}
-			}
-			// The /8 de-rates the worst-case transaction cost to an expected
-			// per-access wait: misses overlap across warps and most of
-			// MemTxWorst's terms (writeback, queueing) are rarely all paid.
-			// Calibrated against the measured Conv stall split (EXPERIMENTS.md).
-			wait := e * (float64(cp.HitLat) + missProb[cls]*float64(cp.MemTxWorst)/8)
-			memDivEst += wait * divShare[cls]
-			memCohEst += wait * (1 - divShare[cls])
-		case inst.Op == isa.BARRIER:
-			barrEst += e * float64(cp.Width)
-		}
-	}
-	total := busyEst + memCohEst + memDivEst + barrEst
-	if total > 0 {
-		m.Predicted = [4]float64{busyEst / total, memCohEst / total, memDivEst / total, barrEst / total}
-	}
-
-	// Per-site benefits (§4.3 short-join branches, §4.4 divergent loads).
-	var branchGain, memGain float64
-	for pc, inst := range p.Code {
-		if !reach[blockOf[pc]] {
-			continue
-		}
-		e := execApprox(blockOf[pc]) * warps
-		switch {
-		case inst.Op.IsBranch():
-			bi := p.branches[pc]
-			if bi.Class == ClassUniform {
-				continue
-			}
-			arm := 0.0
-			first := true
-			for _, s := range p.Blocks[blockOf[pc]].Succ {
-				c := float64(p.Blocks[s].Len())
-				for spc := p.Blocks[s].Start; spc < p.Blocks[s].End; spc++ {
-					if p.Code[spc].Op.IsMem() {
-						c += float64(cp.HitLat)
-					}
-				}
-				if first || c < arm {
-					arm, first = c, false
-				}
-			}
-			classW := 0.5
-			if bi.Class == ClassDivergent {
-				classW = 1.0
-			}
-			ben := e * classW * min(arm, float64(cp.MemTxWorst)) * 0.5
-			m.Sites = append(m.Sites, SiteBenefit{PC: pc, Kind: "branch", Class: bi.Class.String(), Benefit: ben})
-			if bi.Subdividable {
-				branchGain += ben
-			}
-		case inst.Op.IsMem():
-			cls := AccessGather
-			for _, a := range p.memAccess {
-				if a.PC == pc {
-					cls = a.AClass
-					break
-				}
-			}
-			if memTx[pc] <= 1 {
-				continue
-			}
-			kind := "ld"
-			scale := 1.0
-			if inst.Op == isa.ST {
-				kind, scale = "st", 0.3
-			}
-			ben := e * benefitDivP[cls] * float64(cp.MemTxWorst-cp.HitLat) * 0.5 * scale
-			m.Sites = append(m.Sites, SiteBenefit{PC: pc, Kind: kind, Class: cls.String(), Benefit: ben})
-			memGain += ben
-		}
-	}
-
-	// Normalise the benefit masses to intensity shares of the baseline:
-	// the raw sums grow with launch size, but what separates schemes is
-	// how much of the kernel's time the subdividable sites account for.
-	bShare, mShare := 0.0, 0.0
-	if total > 0 {
-		bShare = min(branchGain/total, 1)
-		mShare = min(memGain/total, 1)
-	}
-	floorEst := 0.2 * total
-	for _, t := range CostSchemes {
-		mB, mM, oh := schemeGain(t)
-		est := total * (1 - mM*mShare - mB*bShare + oh)
-		if est < floorEst {
-			est = floorEst
-		}
-		m.Ranking = append(m.Ranking, SchemeScore{Scheme: t.Name, Est: est})
-	}
-	sort.SliceStable(m.Ranking, func(i, j int) bool { return m.Ranking[i].Est < m.Ranking[j].Est })
 }
 
 // Report renders the model in a stable, golden-file-friendly format.
@@ -1821,28 +1290,8 @@ func (m *CostModel) Report(name string) string {
 		fmt.Fprintf(&sb, " %s=%s", CostBucketLabels[i], b)
 	}
 	sb.WriteByte('\n')
-	fmt.Fprintf(&sb, "  predicted busy=%.1f%% mem_coherent=%.1f%% mem_divergent=%.1f%% barrier=%.1f%%\n",
-		100*m.Predicted[0], 100*m.Predicted[1], 100*m.Predicted[2], 100*m.Predicted[3])
-	for _, s := range m.Sites {
-		fmt.Fprintf(&sb, "  site  %-6s @pc %-3d %-9s benefit=%.1f\n", s.Kind, s.PC, s.Class, s.Benefit)
-	}
-	sb.WriteString("  rank ")
-	for i, r := range m.Ranking {
-		if i > 0 {
-			sb.WriteString(" < ")
-		}
-		sb.WriteString(r.Scheme)
-	}
-	sb.WriteByte('\n')
 	return sb.String()
 }
 
-// CostModelReport renders the Build-time model (computing one on demand
-// for programs built before the model was wired in).
-func (p *Program) CostModelReport() string {
-	m := p.cost
-	if m == nil {
-		m = p.CostModelFor(CostParams{})
-	}
-	return m.Report(p.Name)
-}
+// CostModelReport renders the Build-time model.
+func (p *Program) CostModelReport() string { return p.cost.Report(p.Name) }

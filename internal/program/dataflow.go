@@ -36,6 +36,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -348,20 +349,18 @@ func (p *Program) entryState() regState {
 // state: every register in the mask is demoted to divergent unless it is
 // exact-affine (a pure function of tid is path- and trip-independent, so
 // control divergence cannot desynchronise it).
-func forceState(s regState, mask uint32) regState {
+func forceState(s *regState, mask uint32) {
 	if mask == 0 {
-		return s
+		return
 	}
 	for r := 0; r < isa.NumRegs; r++ {
 		if mask&(1<<r) != 0 && s[r].kind != vExact {
 			s[r] = divVal
 		}
 	}
-	return s
 }
 
-// divResult is the analysis output consumed by Build, Verify, and the
-// divergence report.
+// divResult is the analysis output consumed by Build and the tests.
 type divResult struct {
 	in          []regState // per-block entry state (valid where seen)
 	seen        []bool
@@ -377,55 +376,41 @@ type accessState struct {
 	imm   int64
 }
 
-// divFixpoint runs the inner forward worklist fixpoint under a fixed set
-// of per-block forcing masks.
-func (p *Program) divFixpoint(reach []bool, forced []uint32) ([]regState, []bool) {
-	n := len(p.Blocks)
-	in := make([]regState, n)
-	seen := make([]bool, n)
-	in[0] = forceState(p.entryState(), forced[0])
-	seen[0] = true
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if !reach[i] || !seen[i] {
-				continue
+// divFixpoint solves the divergence dataflow under a fixed set of
+// per-block forcing masks.
+func (p *Program) divFixpoint(forced []uint32) ([]regState, []bool) {
+	entry := p.entryState()
+	forceState(&entry, forced[0])
+	in, seen, _ := solveForward(p, entry, 0,
+		func(b int, s *regState) {
+			for pc := p.Blocks[b].Start; pc < p.Blocks[b].End; pc++ {
+				stepDiv(p.Code[pc], s)
 			}
-			s := in[i]
-			for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
-				stepDiv(p.Code[pc], &s)
+		},
+		func(b int, s *regState) { forceState(s, forced[b]) },
+		func(b int, dst, s *regState) bool {
+			joined := *dst
+			for r := range joined {
+				joined[r] = joinVal(joined[r], s[r])
 			}
-			for _, su := range p.Blocks[i].Succ {
-				if !seen[su] {
-					in[su] = forceState(s, forced[su])
-					seen[su] = true
-					changed = true
-					continue
-				}
-				joined := in[su]
-				for r := range joined {
-					joined[r] = joinVal(joined[r], s[r])
-				}
-				joined = forceState(joined, forced[su])
-				if joined != in[su] {
-					in[su] = joined
-					changed = true
-				}
+			forceState(&joined, forced[b])
+			if joined == *dst {
+				return false
 			}
-		}
-	}
+			*dst = joined
+			return true
+		})
 	return in, seen
 }
 
 // divForcing derives the per-block forcing masks from the current
-// solution. Two rules:
+// solution; written[b] is the set of registers block b defines. Two rules:
 //
 // Rule 1 (sync points, Coutinho's control-dependence rule): for each branch
 // whose predicate is not uniform, any register written inside the branch's
-// divergence region (blocks reachable from its successors, stopping at the
-// immediate post-dominator) is forced at every join inside the region and
-// at the re-convergence block itself — different lanes may have run
-// different writers, so the value is path-dependent.
+// divergence region (cfgFacts.region) is forced at every join inside the
+// region and at the re-convergence block itself — different lanes may
+// have run different writers, so the value is path-dependent.
 //
 // Rule 2 (loop widening under trip desynchronisation): DWS lets warp splits
 // escape re-convergence (BranchBypass), creates them from memory divergence,
@@ -435,94 +420,51 @@ func (p *Program) divFixpoint(reach []bool, forced []uint32) ([]regState, []bool
 // iterations, so every register the loop writes is forced throughout the
 // loop (again, exact-affine values are exempt: they are functions of tid,
 // not of trip count).
-func (p *Program) divForcing(reach []bool, in []regState, seen []bool, ipdom []int, blockOf []int) []uint32 {
+func (p *Program) divForcing(in []regState, seen []bool, written []uint32) []uint32 {
+	f := p.cfg
 	n := len(p.Blocks)
 	forced := make([]uint32, n)
 
-	written := make([]uint32, n)
-	preds := make([]int, n)
-	for i := range p.Blocks {
-		for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
-			if d, ok := instDef(p.Code[pc]); ok {
-				written[i] |= 1 << d
-			}
-		}
-		for _, su := range p.Blocks[i].Succ {
-			preds[su]++
-		}
-	}
-
 	// Classify split sources under the current (pre-forcing) solution.
-	divBranch := make([]bool, len(p.Code))
-	hazard := make([]bool, n)
+	tainted := make([]bool, n)
+	var stack []int
 	for i := 0; i < n; i++ {
-		if !reach[i] || !seen[i] {
+		if !f.reach[i] || !seen[i] {
 			continue
 		}
+		hazard := false
 		s := in[i]
 		for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
 			inst := p.Code[pc]
-			switch {
-			case inst.Op.IsBranch():
-				if s[inst.SrcA].class() != ClassUniform {
-					divBranch[pc] = true
-					hazard[i] = true
-				}
-			case inst.Op.IsMem():
-				if s[inst.SrcA].class() != ClassUniform {
-					hazard[i] = true
+			if (inst.Op.IsBranch() || inst.Op.IsMem()) && s[inst.SrcA].class() != ClassUniform {
+				hazard = true
+				if region := f.region[i]; inst.Op.IsBranch() && region != nil {
+					// Rule 1: sync-point injection.
+					var w uint32
+					for j := 0; j < n; j++ {
+						if region.has(j) {
+							w |= written[j]
+						}
+					}
+					for j := 0; j < n; j++ {
+						if region.has(j) && len(f.preds[j]) >= 2 {
+							forced[j] |= w
+						}
+					}
+					if stop := f.ipdom[i]; stop >= 0 {
+						forced[stop] |= w
+					}
 				}
 			}
 			stepDiv(inst, &s)
 		}
-	}
-
-	// Rule 1: sync-point injection.
-	for pc, inst := range p.Code {
-		if !inst.Op.IsBranch() || !divBranch[pc] {
-			continue
-		}
-		b := blockOf[pc]
-		if len(p.Blocks[b].Succ) < 2 {
-			continue
-		}
-		stop := ipdom[b] // -1 re-converges only at exit: no stop block
-		region := make([]bool, n)
-		stack := append([]int(nil), p.Blocks[b].Succ...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v == stop || region[v] {
-				continue
-			}
-			region[v] = true
-			stack = append(stack, p.Blocks[v].Succ...)
-		}
-		var w uint32
-		for j := 0; j < n; j++ {
-			if region[j] {
-				w |= written[j]
-			}
-		}
-		for j := 0; j < n; j++ {
-			if region[j] && preds[j] >= 2 {
-				forced[j] |= w
-			}
-		}
-		if stop >= 0 {
-			forced[stop] |= w
-		}
-	}
-
-	// Rule 2: widen loops tainted by an upstream split source.
-	tainted := make([]bool, n)
-	var stack []int
-	for i := 0; i < n; i++ {
-		if hazard[i] {
+		if hazard {
 			tainted[i] = true
 			stack = append(stack, i)
 		}
 	}
+
+	// Rule 2: widen loops tainted by an upstream split source.
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -533,28 +475,13 @@ func (p *Program) divForcing(reach []bool, in []regState, seen []bool, ipdom []i
 			}
 		}
 	}
-	for _, scc := range stronglyConnected(p.Blocks) {
-		loop := len(scc) > 1
-		if !loop {
-			for _, su := range p.Blocks[scc[0]].Succ {
-				if su == scc[0] {
-					loop = true
-				}
-			}
-		}
-		if !loop {
+	for _, scc := range f.cycles {
+		if !slices.ContainsFunc(scc, func(v int) bool { return tainted[v] }) {
 			continue
 		}
-		any := false
 		var w uint32
 		for _, v := range scc {
-			if tainted[v] {
-				any = true
-			}
 			w |= written[v]
-		}
-		if !any {
-			continue
 		}
 		for _, v := range scc {
 			forced[v] |= w
@@ -563,90 +490,28 @@ func (p *Program) divForcing(reach []bool, in []regState, seen []bool, ipdom []i
 	return forced
 }
 
-// stronglyConnected returns the strongly connected components of the block
-// graph (iterative Tarjan; deterministic order).
-func stronglyConnected(blocks []Block) [][]int {
-	n := len(blocks)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		sccs    [][]int
-		stack   []int
-		counter int
-	)
-	type frame struct {
-		v, succIdx int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] >= 0 {
-			continue
-		}
-		work := []frame{{root, 0}}
-		index[root], low[root] = counter, counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(work) > 0 {
-			f := &work[len(work)-1]
-			if f.succIdx < len(blocks[f.v].Succ) {
-				w := blocks[f.v].Succ[f.succIdx]
-				f.succIdx++
-				if index[w] < 0 {
-					index[w], low[w] = counter, counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					work = append(work, frame{w, 0})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				if u := work[len(work)-1].v; low[v] < low[u] {
-					low[u] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var scc []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == v {
-						break
-					}
-				}
-				sccs = append(sccs, scc)
-			}
-		}
-	}
-	return sccs
-}
-
 // analyzeDivergence runs the outer stabilisation loop: alternate the inner
 // fixpoint with forcing-mask derivation until the masks stop growing. The
 // masks grow monotonically (forcing only demotes values, which can only
 // enlarge the set of non-uniform sources), so this terminates.
-func (p *Program) analyzeDivergence(reach []bool) *divResult {
+func (p *Program) analyzeDivergence() *divResult {
 	n := len(p.Blocks)
-	ipdom := postDominators(p.Blocks)
-	blockOf := p.blockOf()
+	written := make([]uint32, n)
+	for i, blk := range p.Blocks {
+		for pc := blk.Start; pc < blk.End; pc++ {
+			if d, ok := instDef(p.Code[pc]); ok {
+				written[i] |= 1 << d
+			}
+		}
+	}
 	forced := make([]uint32, n)
 	var (
 		in   []regState
 		seen []bool
 	)
 	for {
-		in, seen = p.divFixpoint(reach, forced)
-		next := p.divForcing(reach, in, seen, ipdom, blockOf)
+		in, seen = p.divFixpoint(forced)
+		next := p.divForcing(in, seen, written)
 		same := true
 		for i := range next {
 			next[i] |= forced[i]
@@ -662,7 +527,7 @@ func (p *Program) analyzeDivergence(reach []bool) *divResult {
 
 	res := &divResult{in: in, seen: seen, branchClass: make(map[int]Class)}
 	for i := 0; i < n; i++ {
-		if !reach[i] || !seen[i] {
+		if !p.cfg.reach[i] || !seen[i] {
 			continue
 		}
 		s := in[i]
@@ -686,7 +551,11 @@ func (p *Program) analyzeDivergence(reach []bool) *divResult {
 // Accesses returns the per-load/store divergence classification recorded
 // at Build time, in pc order.
 func (p *Program) Accesses() []AccessInfo {
-	return append([]AccessInfo(nil), p.accesses...)
+	out := make([]AccessInfo, len(p.memAccess))
+	for i, a := range p.memAccess {
+		out[i] = AccessInfo{PC: a.PC, Store: a.Store, Class: a.Class}
+	}
+	return out
 }
 
 // DivergenceReport renders the per-kernel divergence analysis verdicts in
@@ -714,7 +583,7 @@ func (p *Program) DivergenceReport() string {
 		}
 	}
 	var au, aa, ad int
-	for _, a := range p.accesses {
+	for _, a := range p.memAccess {
 		switch a.Class {
 		case ClassUniform:
 			au++
@@ -725,20 +594,15 @@ func (p *Program) DivergenceReport() string {
 		}
 	}
 	fmt.Fprintf(&sb, "kernel %s: %d branches (%d uniform, %d affine, %d divergent), %d accesses (%d uniform, %d affine, %d divergent)\n",
-		p.Name, len(pcs), nu, na, nd, len(p.accesses), au, aa, ad)
+		p.Name, len(pcs), nu, na, nd, len(p.memAccess), au, aa, ad)
 
-	limit := p.shortLimit
-	if limit <= 0 {
-		limit = DefaultShortBlockLimit
-	}
-	blockOf := p.blockOf()
 	ai := 0
 	for pc := 0; pc < len(p.Code); pc++ {
 		if p.Code[pc].Op.IsBranch() {
 			bi := p.branches[pc]
 			heuristic := false
 			if bi.IPdom != NoIPdom {
-				heuristic = p.Blocks[blockOf[bi.IPdom]].Len() <= limit
+				heuristic = p.Blocks[p.cfg.blockOf[bi.IPdom]].Len() <= p.shortLimit
 			}
 			fmt.Fprintf(&sb, "  branch @pc %-3d %-9s reconv=%s subdividable=%v",
 				pc, bi.Class.String(), reconvName(bi.IPdom), bi.Subdividable)
@@ -747,8 +611,8 @@ func (p *Program) DivergenceReport() string {
 			}
 			sb.WriteByte('\n')
 		}
-		for ai < len(p.accesses) && p.accesses[ai].PC == pc {
-			a := p.accesses[ai]
+		for ai < len(p.memAccess) && p.memAccess[ai].PC == pc {
+			a := p.memAccess[ai]
 			op := "ld"
 			if a.Store {
 				op = "st"

@@ -132,15 +132,15 @@ func TestSyncPointInjection(t *testing.T) {
 	}
 
 	divergentPred := build(func(b *Builder) { b.Mov(5, 1) }) // predicate = tid
-	div := divergentPred.analyzeDivergence(divergentPred.reachableBlocks())
-	joinBlk := divergentPred.blockOf()[5] // pc of the join Add
+	div := divergentPred.analyzeDivergence()
+	joinBlk := divergentPred.cfg.blockOf[5] // pc of the join Add
 	if got := div.in[joinBlk][6].class(); got != ClassDivergent {
 		t.Errorf("per-arm constant under tid branch: class %s at join, want divergent", got)
 	}
 
 	uniformPred := build(func(b *Builder) { b.Movi(5, 1) }) // constant predicate
-	div = uniformPred.analyzeDivergence(uniformPred.reachableBlocks())
-	joinBlk = uniformPred.blockOf()[5]
+	div = uniformPred.analyzeDivergence()
+	joinBlk = uniformPred.cfg.blockOf[5]
 	if got := div.in[joinBlk][6].class(); got != ClassUniform {
 		t.Errorf("per-arm constant under uniform branch: class %s at join, want uniform", got)
 	}
@@ -160,8 +160,8 @@ func TestExactSurvivesSyncForcing(t *testing.T) {
 	b.Add(8, 6, 7)
 	b.Halt()
 	p := b.MustBuild()
-	div := p.analyzeDivergence(p.reachableBlocks())
-	joinBlk := p.blockOf()[5] // pc of the join Add
+	div := p.analyzeDivergence()
+	joinBlk := p.cfg.blockOf[5] // pc of the join Add
 	if got := div.in[joinBlk][6]; got != (absVal{kind: vExact, region: -1, ct: 8}) {
 		t.Errorf("8*tid at join = %+v, want exact ct=8", got)
 	}

@@ -67,10 +67,7 @@ func TestDecodedStreamMatchesTables(t *testing.T) {
 		if got, want := d.Flags&isa.DFSubdiv != 0, bi.Subdividable; got != want {
 			t.Errorf("pc %d: DFSubdiv = %v, want %v", pc, got, want)
 		}
-		wantReconv, ok := p.ReconvPC(pc)
-		if !ok {
-			wantReconv = NoIPdom
-		}
+		wantReconv := bi.IPdom
 		gotReconv := int(d.Reconv)
 		if gotReconv < 0 {
 			gotReconv = NoIPdom

@@ -76,9 +76,9 @@ func FuzzDivergence(f *testing.F) {
 		if p == nil {
 			return
 		}
-		div := p.analyzeDivergence(p.reachableBlocks())
+		div := p.analyzeDivergence()
 		const T = 6
-		blockOf := p.blockOf()
+		blockOf := p.cfg.blockOf
 		reached := make([][T]bool, len(p.Blocks))
 		vals := make([][T][isa.NumRegs]int64, len(p.Blocks))
 		for tid := 0; tid < T; tid++ {

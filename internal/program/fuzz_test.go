@@ -49,9 +49,12 @@ func decodeFuzzProgram(data []byte) []isa.Inst {
 }
 
 // FuzzVerify feeds random small programs through Build and checks the
-// verifier's contract: it never panics, a successful Build implies a
-// program with zero error-severity findings and no unreachable blocks, and
-// the two independent post-dominator algorithms agree.
+// verifier's contract: it never panics, and a successful Build implies a
+// program with zero error-severity findings and no unreachable blocks. On
+// every program whose branch targets are in range — built or not — the
+// production dominator sets, post-dominator sets and ipdom must agree with
+// the Cooper-Harvey-Kennedy oracle (oracle_test.go), run forward from the
+// entry and on the reverse graph.
 func FuzzVerify(f *testing.F) {
 	// Seeds: straight-line, a diamond, a loop, garbage.
 	f.Add([]byte{2, 4, 1, 3, 5, 4})
@@ -60,6 +63,18 @@ func FuzzVerify(f *testing.F) {
 	f.Add([]byte{255, 255, 255, 0, 0, 0, 128, 64, 32})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		code := decodeFuzzProgram(data)
+		inRange := true
+		for _, in := range code {
+			if in.Op.IsControl() && in.Target >= len(code) {
+				inRange = false
+			}
+		}
+		if inRange {
+			blocks := buildCFG(code)
+			if err := checkDominanceFacts(blocks, newCFGFacts(blocks, len(code))); err != nil {
+				t.Fatal(err)
+			}
+		}
 		b := NewBuilder("fuzz")
 		for _, in := range code {
 			b.Emit(in)
@@ -78,25 +93,24 @@ func FuzzVerify(f *testing.F) {
 			}
 		}
 		// ...every block must be reachable...
-		for i, ok := range p.reachableBlocks() {
+		for i, ok := range p.cfg.reach {
 			if !ok {
 				t.Fatalf("Build accepted unreachable block %d", i)
 			}
 		}
-		// ...the independent post-dominator algorithms must agree...
-		bitset, chk := postDominators(p.Blocks), verifiedIPdom(p.Blocks)
-		for i := range p.Blocks {
-			if bitset[i] != chk[i] {
-				t.Fatalf("block %d: bitset ipdom %d != CHK ipdom %d", i, bitset[i], chk[i])
-			}
-		}
-		// ...and every branch must have a re-convergence table entry.
+		// ...and every branch re-converges at its block's ipdom.
 		for pc, in := range p.Code {
 			if !in.Op.IsBranch() {
 				continue
 			}
-			if _, ok := p.ReconvPC(pc); !ok {
-				t.Fatalf("branch @pc %d missing from the reconv table", pc)
+			bi, ok := p.Branch(pc)
+			want := NoIPdom
+			if d := p.cfg.ipdom[p.cfg.blockOf[pc]]; d >= 0 {
+				want = p.Blocks[d].Start
+			}
+			if !ok || bi.IPdom != want || int(p.Decoded()[pc].Reconv) != want {
+				t.Fatalf("branch @pc %d: metadata %+v (ok=%v), decoded reconv %d, ipdom pc %d",
+					pc, bi, ok, p.Decoded()[pc].Reconv, want)
 			}
 		}
 

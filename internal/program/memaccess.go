@@ -286,10 +286,10 @@ func memInfoFrom(pc int, store bool, cls Class, stride int64, params MemParams) 
 }
 
 // buildMemAccess derives the per-access table from the divergence
-// analysis result, in pc order.
-func (p *Program) buildMemAccess(div *divResult, params MemParams) []MemAccessInfo {
-	out := make([]MemAccessInfo, 0, len(div.accesses))
-	for _, a := range div.accesses {
+// analysis's abstract addresses, in pc order.
+func (p *Program) buildMemAccess(params MemParams) []MemAccessInfo {
+	out := make([]MemAccessInfo, 0, len(p.addrs))
+	for _, a := range p.addrs {
 		cls := a.val.class()
 		var stride int64
 		if cls != ClassDivergent {

@@ -75,11 +75,9 @@ type Program struct {
 
 	branches map[int]BranchInfo // keyed by instruction index
 
-	// reconv is the verified re-convergence table the WPU consumes: per
-	// branch pc, the re-convergence pc recomputed by the verifier's
-	// independent post-dominator analysis (NoIPdom when the paths re-join
-	// only at kernel exit). Populated by Build after verification passes.
-	reconv map[int]int
+	// cfg is the control-flow facts every analysis reads, computed once
+	// by Build (cfg.go).
+	cfg *cfgFacts
 
 	// Static declarations carried over from the Builder; they gate the
 	// def-use and bounds checks.
@@ -91,33 +89,30 @@ type Program struct {
 	maxThreads     int
 	shortLimit     int
 
-	// accesses is the divergence analysis verdict per load/store, in pc
-	// order (see dataflow.go).
-	accesses []AccessInfo
+	// addrs is the divergence analysis's abstract address per load/store,
+	// in pc order (dataflow.go); the bounds and access-table checks read it.
+	addrs []accessState
 
 	// memAccess is the static access-pattern table per load/store under
-	// DefaultMemParams, in pc order (see memaccess.go). The verifier
-	// cross-checks it against a fresh analysis run; the WPU derives
+	// DefaultMemParams, in pc order (see memaccess.go). The WPU derives
 	// machine-specific transaction bounds from it via MemAccessFor.
 	memAccess []MemAccessInfo
 
 	// cost is the static cost model recorded at Build time under
-	// DefaultCostParams and the declared thread count (costmodel.go). The
-	// verifier cross-checks it against a fresh run; launch-specific
-	// geometries recompute via CostModelFor.
+	// DefaultCostParams and the declared thread count (costmodel.go);
+	// launch-specific geometries recompute via CostModelFor.
 	cost *CostModel
-
-	// uniformBranch[pc] mirrors BranchInfo.Uniform as a dense slice: the
-	// WPU queries it on every executed branch, so the fast-path test must
-	// not cost a map lookup.
-	uniformBranch []bool
 
 	// decoded is the dispatch-ready lowering of Code the WPU issue loop
 	// consumes: one isa.Decoded per pc, with the analysis-driven flags
-	// (uniform, subdividable) and the verified re-convergence pc folded in
-	// so an issue never touches the branches/reconv maps. Populated by
-	// Build after verification passes.
+	// (uniform, subdividable) and the re-convergence pc folded in so an
+	// issue never touches the branches map. Populated by Build after
+	// verification passes.
 	decoded []isa.Decoded
+
+	// findings is what the verifier reported at Build (warnings only: an
+	// error fails the build); MustVerify rejects any.
+	findings []Finding
 
 	verified bool
 }
@@ -128,9 +123,9 @@ type Program struct {
 func (p *Program) Decoded() []isa.Decoded { return p.decoded }
 
 // UniformBranch reports whether the branch at pc was proved uniform by
-// the divergence analysis (constant time; hot path of the WPU front end).
+// the divergence analysis (constant time: it reads the decoded stream).
 func (p *Program) UniformBranch(pc int) bool {
-	return pc >= 0 && pc < len(p.uniformBranch) && p.uniformBranch[pc]
+	return pc >= 0 && pc < len(p.decoded) && p.decoded[pc].Flags&isa.DFUniform != 0
 }
 
 // Branch returns the metadata for the conditional branch at pc.
@@ -146,14 +141,6 @@ func (p *Program) NumBranches() int { return len(p.branches) }
 // Build time. The WPU refuses to launch unverified programs.
 func (p *Program) Verified() bool { return p.verified }
 
-// ReconvPC returns the verified re-convergence pc for the branch at pc —
-// the value the WPU's re-convergence stack and warp-split table consume.
-// NoIPdom means the divergent paths re-join only at kernel termination.
-func (p *Program) ReconvPC(pc int) (int, bool) {
-	r, ok := p.reconv[pc]
-	return r, ok
-}
-
 // Regions returns the declared memory regions (for tooling display).
 func (p *Program) Regions() []RegionDecl {
 	return append([]RegionDecl(nil), p.regions...)
@@ -163,31 +150,12 @@ func (p *Program) Regions() []RegionDecl {
 // metadata, for debugging kernels.
 func (p *Program) Disassemble() string {
 	var sb strings.Builder
-	blockAt := make(map[int]int)
-	for _, b := range p.Blocks {
-		blockAt[b.Start] = b.ID
-	}
-	// Cost-model annotations (costmodel.go): per-block execution bounds on
-	// block headers and the subdivision-benefit score on each divergence
-	// site, so a disassembly shows where subdividing is predicted to pay.
-	execAt := make(map[int]CostInterval)
-	benefitAt := make(map[int]float64)
-	if p.cost != nil {
-		for _, bc := range p.cost.Blocks {
-			execAt[bc.ID] = bc.Execs
-		}
-		for _, s := range p.cost.Sites {
-			benefitAt[s.PC] = s.Benefit
-		}
-	}
 	ai := 0
 	for pc, in := range p.Code {
-		if id, ok := blockAt[pc]; ok {
-			fmt.Fprintf(&sb, "B%d:", id)
-			if iv, ok := execAt[id]; ok {
-				fmt.Fprintf(&sb, "\t; execs=%s", iv)
-			}
-			sb.WriteByte('\n')
+		if id := p.cfg.blockOf[pc]; p.Blocks[id].Start == pc {
+			// Block header, with the cost model's per-thread execution
+			// bounds (costmodel.go).
+			fmt.Fprintf(&sb, "B%d:\t; execs=%s\n", id, p.cost.Blocks[id].Execs)
 		}
 		fmt.Fprintf(&sb, "  %4d  %s", pc, in)
 		if bi, ok := p.branches[pc]; ok {
@@ -207,9 +175,6 @@ func (p *Program) Disassemble() string {
 		if ai < len(p.memAccess) && p.memAccess[ai].PC == pc {
 			a := p.memAccess[ai]
 			fmt.Fprintf(&sb, "\t; %s tx<=%d", a.AClass, a.Transactions)
-		}
-		if ben, ok := benefitAt[pc]; ok {
-			fmt.Fprintf(&sb, "\t; benefit=%.1f", ben)
 		}
 		sb.WriteByte('\n')
 	}
@@ -504,39 +469,6 @@ func (b *Builder) Build() (*Program, error) {
 		return nil, fmt.Errorf("program %q: control can fall off the end (last op %s)", b.name, last.Op)
 	}
 
-	p := &Program{Name: b.name, Code: code, branches: make(map[int]BranchInfo)}
-	p.Blocks = buildCFG(code)
-	ipdom := postDominators(p.Blocks)
-
-	blockOf := make([]int, len(code))
-	for _, blk := range p.Blocks {
-		for pc := blk.Start; pc < blk.End; pc++ {
-			blockOf[pc] = blk.ID
-		}
-	}
-	limit := b.ShortBlockLimit
-	if limit <= 0 {
-		limit = DefaultShortBlockLimit
-	}
-	for pc, in := range code {
-		if !in.Op.IsBranch() {
-			continue
-		}
-		bi := BranchInfo{IPdom: NoIPdom}
-		if d := ipdom[blockOf[pc]]; d >= 0 {
-			dblk := p.Blocks[d]
-			bi.IPdom = dblk.Start
-			// §4.3: subdivide only when the block following the
-			// post-dominator is short. The paper's phrasing refers to the
-			// code executed from the re-convergence point; we measure the
-			// post-dominator block itself.
-			bi.Subdividable = dblk.Len() <= limit
-		}
-		p.branches[pc] = bi
-	}
-
-	// Carry the static declarations over and verify. Only Err findings fail
-	// the build — warnings are surfaced by MustVerify and dwsverify.
 	seenRegion := make(map[isa.Reg]bool)
 	for _, r := range b.regions {
 		if r.Reg == 0 || r.Reg >= isa.NumRegs {
@@ -550,81 +482,81 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		seenRegion[r.Reg] = true
 	}
-	p.inputs = b.inputs
-	p.uniforms = b.uniforms
-	p.inputsDeclared = b.inputsDeclared
-	p.regions = append([]RegionDecl(nil), b.regions...)
-	p.uranges = append([]UniformRange(nil), b.uranges...)
-	p.maxThreads = b.maxThreads
-	p.shortLimit = limit
+	limit := b.ShortBlockLimit
+	if limit <= 0 {
+		limit = DefaultShortBlockLimit
+	}
+	p := &Program{
+		Name: b.name, Code: code, Blocks: buildCFG(code),
+		branches:       make(map[int]BranchInfo),
+		inputs:         b.inputs,
+		uniforms:       b.uniforms,
+		inputsDeclared: b.inputsDeclared,
+		regions:        append([]RegionDecl(nil), b.regions...),
+		uranges:        append([]UniformRange(nil), b.uranges...),
+		maxThreads:     b.maxThreads,
+		shortLimit:     limit,
+	}
+	// The analyses index the register file by operand, so the shape check
+	// (register ranges, block tiling) runs before any of them.
+	if fs := p.checkShape(); len(fs) > 0 {
+		return nil, verifyErr(b.name, fs)
+	}
+	p.cfg = newCFGFacts(p.Blocks, len(code))
 
-	// Divergence analysis (dataflow.go) refines the §4.3 selection: a
-	// branch whose predicate is provably warp-uniform can never split a
-	// warp, so it is excluded from subdivision however short its join
-	// block, and the WPU front end gets to skip its re-convergence
-	// bookkeeping entirely (BranchInfo.Uniform).
-	div := p.analyzeDivergence(p.reachableBlocks())
-	p.uniformBranch = make([]bool, len(code))
+	// Branch metadata: the immediate post-dominator is the re-convergence
+	// point. The divergence analysis (dataflow.go) refines the §4.3
+	// selection: a branch whose predicate is provably warp-uniform can
+	// never split a warp, so it is excluded from subdivision however short
+	// its join block, and the WPU front end gets to skip its
+	// re-convergence bookkeeping entirely (BranchInfo.Uniform).
+	div := p.analyzeDivergence()
 	for pc, in := range code {
 		if !in.Op.IsBranch() {
 			continue
 		}
-		bi := p.branches[pc]
-		bi.Class = ClassDivergent
+		bi := BranchInfo{IPdom: NoIPdom, Class: ClassDivergent}
 		if c, ok := div.branchClass[pc]; ok {
 			bi.Class = c
 		}
 		bi.Uniform = bi.Class == ClassUniform
-		bi.Subdividable = bi.Subdividable && !bi.Uniform
+		if d := p.cfg.ipdom[p.cfg.blockOf[pc]]; d >= 0 {
+			dblk := p.Blocks[d]
+			bi.IPdom = dblk.Start
+			// §4.3: subdivide only when the block following the
+			// post-dominator is short. The paper's phrasing refers to the
+			// code executed from the re-convergence point; we measure the
+			// post-dominator block itself.
+			bi.Subdividable = dblk.Len() <= limit && !bi.Uniform
+		}
 		p.branches[pc] = bi
-		p.uniformBranch[pc] = bi.Uniform
-	}
-	p.accesses = make([]AccessInfo, 0, len(div.accesses))
-	for _, a := range div.accesses {
-		p.accesses = append(p.accesses, AccessInfo{PC: a.pc, Store: a.store, Class: a.val.class()})
 	}
 	// The memory-side analysis (memaccess.go): classify every load/store's
-	// warp access pattern and bound its worst-case line transactions. The
-	// verifier below recomputes and cross-checks this table.
-	p.memAccess = p.buildMemAccess(div, DefaultMemParams)
+	// warp access pattern and bound its worst-case line transactions.
+	p.addrs = div.accesses
+	p.memAccess = p.buildMemAccess(DefaultMemParams)
 
-	// Static cost model (costmodel.go): trip counts, cycle bounds, and
-	// subdivision-benefit scores under the default machine geometry and the
-	// declared thread count. Launch-time geometries recompute via
-	// CostModelFor; the verifier below cross-checks this record.
+	// Static cost model (costmodel.go): trip counts and cycle bounds under
+	// the default machine geometry and the declared thread count.
+	// Launch-time geometries recompute via CostModelFor.
 	p.cost = p.CostModelFor(CostParams{})
 
-	findings := p.Verify()
+	// Only Err findings fail the build; warnings are kept for MustVerify
+	// and dwsverify.
+	p.findings = p.check()
 	var errs []Finding
-	for _, f := range findings {
+	for _, f := range p.findings {
 		if f.Severity == Err {
 			errs = append(errs, f)
 		}
 	}
 	if len(errs) > 0 {
-		return nil, fmt.Errorf("program %q: verifier found %d error(s):\n%s",
-			b.name, len(errs), FormatFindings(errs))
-	}
-
-	// The verifier's independent post-dominator pass agreed with the
-	// builder's; record its answers as the re-convergence table the WPU
-	// consumes (rather than the builder-side BranchInfo it cross-checked).
-	vip := verifiedIPdom(p.Blocks)
-	p.reconv = make(map[int]int, len(p.branches))
-	for pc, in := range code {
-		if !in.Op.IsBranch() {
-			continue
-		}
-		r := NoIPdom
-		if d := vip[blockOf[pc]]; d >= 0 {
-			r = p.Blocks[d].Start
-		}
-		p.reconv[pc] = r
+		return nil, verifyErr(b.name, errs)
 	}
 
 	// Lower the verified program into the pre-decoded dispatch stream,
-	// folding in the per-branch analysis verdicts and the verified
-	// re-convergence table so issue-time dispatch never consults a map.
+	// folding in the per-branch analysis verdicts and re-convergence pcs
+	// so issue-time dispatch never consults a map.
 	p.decoded = isa.DecodeProgram(code)
 	for pc := range p.decoded {
 		d := &p.decoded[pc]
@@ -638,7 +570,7 @@ func (b *Builder) Build() (*Program, error) {
 		if bi.Subdividable {
 			d.Flags |= isa.DFSubdiv
 		}
-		d.Reconv = int32(p.reconv[pc])
+		d.Reconv = int32(bi.IPdom)
 	}
 	// Fold the access classes into the decoded memory instructions: the
 	// 2-bit class feeds the WPU's per-class concordance counters, and the
@@ -656,6 +588,11 @@ func (b *Builder) Build() (*Program, error) {
 	return p, nil
 }
 
+func verifyErr(name string, errs []Finding) error {
+	sortFindings(errs)
+	return fmt.Errorf("program %q: verifier found %d error(s):\n%s", name, len(errs), FormatFindings(errs))
+}
+
 // MustBuild is Build for statically known-good kernels; it panics on error.
 func (b *Builder) MustBuild() *Program {
 	p, err := b.Build()
@@ -666,12 +603,12 @@ func (b *Builder) MustBuild() *Program {
 }
 
 // MustVerify is MustBuild with a zero-findings bar: it panics if the
-// verifier reports anything at all, warnings included. The eight benchmark
-// kernels are built with this.
+// verifier reported anything at all at Build, warnings included. The eight
+// benchmark kernels are built with this.
 func (b *Builder) MustVerify() *Program {
 	p := b.MustBuild()
-	if fs := p.Verify(); len(fs) > 0 {
-		panic(fmt.Sprintf("program %q: verifier findings:\n%s", p.Name, FormatFindings(fs)))
+	if len(p.findings) > 0 {
+		panic(fmt.Sprintf("program %q: verifier findings:\n%s", p.Name, FormatFindings(p.findings)))
 	}
 	return p
 }

@@ -1,23 +1,26 @@
-// Program verifier: independent static checks over a built Program.
+// Program verifier: static checks over a built Program.
 //
 // The DWS mechanisms in internal/wpu (re-convergence stacks, warp-split
 // table, PC merges) silently assume the program metadata they consume is
-// right. A stale re-convergence PC makes a stack pop at the wrong place; a
-// barrier on a divergent path deadlocks a warp; an ill-formed CFG breaks the
-// post-dominator analysis that both rely on. Verify re-derives everything it
-// can with algorithms deliberately different from the ones Build uses (the
-// re-convergence check recomputes post-dominators with Cooper-Harvey-Kennedy
-// on the reverse CFG rather than the bitset fixpoint in cfg.go) and reports
-// findings instead of trusting the builder.
+// right. A barrier on a divergent path deadlocks a warp; an ill-formed CFG
+// breaks the post-dominator analysis the re-convergence points come from;
+// a read of an undefined register or an out-of-bounds access computes
+// garbage. Verify checks the CFG shape first and then runs its checks over
+// the facts and analyses Build recorded (cfgFacts, the divergence verdicts,
+// the access table and the cost model). It does not re-run the analyses to
+// compare them with themselves: that can only fail under nondeterminism,
+// which dwslint guards, and the analyses are pinned instead by their
+// fuzzers, the differential oracles in the tests and the trace-backed
+// concordance tests.
 //
 // Severity policy: structural problems that would make simulation wrong or
-// crash (ill-formed CFG, unreachable code, wrong re-convergence points,
-// reads of provably undefined registers, provable out-of-bounds accesses)
-// are Err and fail Build. Hygiene findings (dead definitions, writes to the
-// hardwired r0, barriers that are merely *potentially* under divergence)
-// are Warn: Build tolerates them, MustVerify does not. The warp-uniform
-// branch-over-barrier idiom is legal at runtime, so it must not be a build
-// error — but the eight benchmarks are held to the stricter MustVerify bar.
+// crash (ill-formed CFG, unreachable code, reads of provably undefined
+// registers, provable out-of-bounds accesses) are Err and fail Build.
+// Hygiene findings (dead definitions, writes to the hardwired r0, barriers
+// that are merely *potentially* under divergence) are Warn: Build tolerates
+// them, MustVerify does not. The warp-uniform branch-over-barrier idiom is
+// legal at runtime, so it must not be a build error — but the eight
+// benchmarks are held to the stricter MustVerify bar.
 package program
 
 import (
@@ -89,88 +92,55 @@ func FormatFindings(fs []Finding) string {
 // deterministically. A nil result means the program passed clean.
 //
 // If the CFG itself is ill-formed (shape errors), only the shape findings
-// are returned: the deeper analyses assume a well-formed block structure.
+// are returned: the facts and analyses assume a well-formed block
+// structure.
 func (p *Program) Verify() []Finding {
-	fs := p.checkShape()
-	for _, f := range fs {
-		if f.Severity == Err {
-			sortFindings(fs)
-			return fs
-		}
+	if fs := p.checkShape(); len(fs) > 0 {
+		sortFindings(fs)
+		return fs
 	}
-	reach := p.reachableBlocks()
-	// Recompute the divergence analysis from scratch rather than trusting
-	// the verdicts Build recorded: checkReconvergence cross-checks the
-	// recorded BranchInfo against this fresh run, and checkBounds consumes
-	// its exact-affine component.
-	div := p.analyzeDivergence(reach)
-	fs = append(fs, p.checkReachability(reach)...)
-	fs = append(fs, p.checkReconvergence(div)...)
-	fs = append(fs, p.checkDefUse(reach)...)
-	fs = append(fs, p.checkDeadDefs(reach)...)
-	fs = append(fs, p.checkBarriers(reach)...)
-	fs = append(fs, p.checkBounds(div)...)
-	fs = append(fs, p.checkMemAccess(div)...)
+	return p.check()
+}
+
+// check runs the checks that read the recorded facts and analyses.
+func (p *Program) check() []Finding {
+	var fs []Finding
+	fs = append(fs, p.checkReachability()...)
+	fs = append(fs, p.checkDefUse()...)
+	fs = append(fs, p.checkDeadDefs()...)
+	fs = append(fs, p.checkBarriers()...)
+	fs = append(fs, p.checkBounds()...)
+	fs = append(fs, p.checkMemAccess()...)
 	fs = append(fs, p.checkCostModel()...)
 	sortFindings(fs)
 	return fs
 }
 
-// checkCostModel re-runs the static cost analysis (costmodel.go) under the
-// parameters recorded at Build and cross-checks the stored model against
-// the fresh run, plus the internal Lo<=Hi invariants every interval must
-// satisfy. Like checkMemAccess, this guards against the recorded table
-// drifting from the analysis that claims to describe it.
+// checkCostModel checks the interval invariants every bound of the
+// recorded cost model (costmodel.go) must satisfy: Lo <= Hi and Lo >= 0.
 func (p *Program) checkCostModel() []Finding {
-	if p.cost == nil {
-		return nil
-	}
+	m := p.cost
 	var fs []Finding
-	fresh := p.CostModelFor(p.cost.Params)
-	if got, want := p.cost.Report(p.Name), fresh.Report(p.Name); got != want {
-		fs = append(fs, Finding{
-			PC: -1, Block: -1, Severity: Err, Check: "costmodel",
-			Msg: "recorded cost model disagrees with a fresh analysis run",
-		})
-	}
-	bad := func(iv CostInterval) bool { return iv.Lo > iv.Hi || iv.Lo < 0 }
-	if bad(fresh.Ticks) {
-		fs = append(fs, Finding{
-			PC: -1, Block: -1, Severity: Err, Check: "costmodel",
-			Msg: fmt.Sprintf("tick bound inverted or negative: %s", fresh.Ticks),
-		})
-	}
-	for i, b := range fresh.Buckets {
-		if bad(b) {
+	add := func(pc, blk int, what string, iv CostInterval) {
+		if iv.Lo > iv.Hi || iv.Lo < 0 {
 			fs = append(fs, Finding{
-				PC: -1, Block: -1, Severity: Err, Check: "costmodel",
-				Msg: fmt.Sprintf("bucket %s bound inverted or negative: %s", CostBucketLabels[i], b),
+				PC: pc, Block: blk, Severity: Err, Check: "costmodel",
+				Msg: fmt.Sprintf("%s bound inverted or negative: %s", what, iv),
 			})
 		}
 	}
-	for _, bc := range fresh.Blocks {
-		if bad(bc.Execs) {
-			fs = append(fs, Finding{
-				PC: -1, Block: bc.ID, Severity: Err, Check: "costmodel",
-				Msg: fmt.Sprintf("block execution bound inverted or negative: %s", bc.Execs),
-			})
-		}
+	add(-1, -1, "tick", m.Ticks)
+	for i, b := range m.Buckets {
+		add(-1, -1, "bucket "+CostBucketLabels[i], b)
 	}
-	for _, lc := range fresh.Loops {
-		if bad(lc.Trips) {
-			fs = append(fs, Finding{
-				PC: lc.HeaderPC, Block: lc.Header, Severity: Err, Check: "costmodel",
-				Msg: fmt.Sprintf("trip bound inverted or negative: %s", lc.Trips),
-			})
-		}
+	for _, bc := range m.Blocks {
+		add(-1, bc.ID, "block execution", bc.Execs)
 	}
-	for pc, iv := range fresh.Issues {
-		if bad(iv) {
-			fs = append(fs, Finding{
-				PC: pc, Block: -1, Severity: Err, Check: "costmodel",
-				Msg: fmt.Sprintf("issue bound inverted or negative: %s", iv),
-			})
-		}
+	for _, lc := range m.Loops {
+		add(lc.HeaderPC, lc.Header, "trip", lc.Trips)
+	}
+	for pc, iv := range m.Issues {
+		add(pc, -1, "issue", iv)
 	}
 	return fs
 }
@@ -188,18 +158,6 @@ func sortFindings(fs []Finding) {
 		}
 		return fs[i].Msg < fs[j].Msg
 	})
-}
-
-// blockOf maps every instruction index to its basic-block ID. Callers must
-// have established block tiling (checkShape) first.
-func (p *Program) blockOf() []int {
-	m := make([]int, len(p.Code))
-	for _, blk := range p.Blocks {
-		for pc := blk.Start; pc < blk.End; pc++ {
-			m[pc] = blk.ID
-		}
-	}
-	return m
 }
 
 // checkShape validates the CFG's structural invariants: blocks tile the
@@ -320,115 +278,15 @@ func (p *Program) checkShape() []Finding {
 	return fs
 }
 
-// reachableBlocks marks the blocks reachable from the entry block.
-func (p *Program) reachableBlocks() []bool {
-	reach := make([]bool, len(p.Blocks))
-	stack := []int{0}
-	reach[0] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range p.Blocks[v].Succ {
-			if !reach[s] {
-				reach[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return reach
-}
-
 // checkReachability flags unreachable basic blocks — dead code that the
 // post-dominator analysis never exercised and the WPU can never execute.
-func (p *Program) checkReachability(reach []bool) []Finding {
+func (p *Program) checkReachability() []Finding {
 	var fs []Finding
 	for i, blk := range p.Blocks {
-		if !reach[i] {
+		if !p.cfg.reach[i] {
 			fs = append(fs, Finding{
 				Check: "reachability", Severity: Err, PC: blk.Start, Block: i,
 				Msg: fmt.Sprintf("unreachable block (dead code, pcs %d..%d)", blk.Start, blk.End-1),
-			})
-		}
-	}
-	return fs
-}
-
-// checkReconvergence recomputes every branch's immediate post-dominator with
-// an independent algorithm (Cooper-Harvey-Kennedy on the reverse CFG) and
-// compares it against the metadata recorded by Build. This is the check that
-// protects the paper's re-convergence stack and the WST's PC-merge test: a
-// wrong re-convergence PC makes conventional warps pop their stacks at the
-// wrong place and makes DWS splits merge at PCs that never match. It also
-// cross-checks the recorded divergence verdicts (Class/Uniform) and the
-// refined Subdividable rule (divergence-capable ∧ short-join) against a
-// fresh analysis run, since the WPU's uniform-branch fast path trusts them.
-func (p *Program) checkReconvergence(div *divResult) []Finding {
-	var fs []Finding
-	vip := verifiedIPdom(p.Blocks)
-	blockOf := p.blockOf()
-	limit := p.shortLimit
-	if limit <= 0 {
-		limit = DefaultShortBlockLimit
-	}
-	seen := 0
-	for pc, in := range p.Code {
-		if !in.Op.IsBranch() {
-			continue
-		}
-		seen++
-		bi, ok := p.branches[pc]
-		if !ok {
-			fs = append(fs, Finding{
-				Check: "reconvergence", Severity: Err, PC: pc, Block: blockOf[pc],
-				Msg: "branch has no recorded metadata",
-			})
-			continue
-		}
-		wantClass := ClassDivergent
-		if c, ok := div.branchClass[pc]; ok {
-			wantClass = c
-		}
-		want, wantSub := NoIPdom, false
-		if d := vip[blockOf[pc]]; d >= 0 {
-			want = p.Blocks[d].Start
-			wantSub = p.Blocks[d].Len() <= limit && wantClass != ClassUniform
-		}
-		if bi.IPdom != want {
-			fs = append(fs, Finding{
-				Check: "reconvergence", Severity: Err, PC: pc, Block: blockOf[pc],
-				Msg: fmt.Sprintf("recorded re-convergence pc %s, independent post-dominator analysis says %s",
-					reconvName(bi.IPdom), reconvName(want)),
-			})
-			continue
-		}
-		if bi.Class != wantClass || bi.Uniform != (wantClass == ClassUniform) {
-			fs = append(fs, Finding{
-				Check: "reconvergence", Severity: Err, PC: pc, Block: blockOf[pc],
-				Msg: fmt.Sprintf("recorded predicate class %s (uniform=%v), divergence analysis says %s",
-					bi.Class, bi.Uniform, wantClass),
-			})
-			continue
-		}
-		if bi.Subdividable != wantSub {
-			fs = append(fs, Finding{
-				Check: "reconvergence", Severity: Err, PC: pc, Block: blockOf[pc],
-				Msg: fmt.Sprintf("subdividable=%v disagrees with the divergence-capable ∧ short-join rule (limit %d)",
-					bi.Subdividable, limit),
-			})
-		}
-	}
-	if seen != len(p.branches) {
-		extra := make([]int, 0, len(p.branches))
-		for pc := range p.branches {
-			if pc < 0 || pc >= len(p.Code) || !p.Code[pc].Op.IsBranch() {
-				extra = append(extra, pc)
-			}
-		}
-		sort.Ints(extra)
-		for _, pc := range extra {
-			fs = append(fs, Finding{
-				Check: "reconvergence", Severity: Err, PC: pc, Block: -1,
-				Msg: "branch metadata recorded for a non-branch instruction",
 			})
 		}
 	}
@@ -440,107 +298,6 @@ func reconvName(pc int) string {
 		return "exit"
 	}
 	return fmt.Sprintf("%d", pc)
-}
-
-// verifiedIPdom computes immediate post-dominators with the
-// Cooper-Harvey-Kennedy algorithm run on the reverse CFG (virtual exit as
-// root) — deliberately a different algorithm from the bitset fixpoint in
-// cfg.go, so the two can cross-check each other. Returns the post-dominating
-// block ID per block, or -1 when the block's only post-dominator is the
-// virtual exit or the block cannot reach exit at all.
-func verifiedIPdom(blocks []Block) []int {
-	n := len(blocks)
-	exit := n
-	exitSlice := []int{exit}
-	fsucc := func(v int) []int {
-		if len(blocks[v].Succ) == 0 {
-			return exitSlice
-		}
-		return blocks[v].Succ
-	}
-
-	// Reverse-graph adjacency: an edge s->v here for every forward edge
-	// v->s. The reverse DFS from exit visits exactly the blocks that can
-	// terminate.
-	radj := make([][]int, n+1)
-	for v := 0; v < n; v++ {
-		for _, s := range fsucc(v) {
-			radj[s] = append(radj[s], v)
-		}
-	}
-
-	po := make([]int, n+1)
-	visited := make([]bool, n+1)
-	order := make([]int, 0, n+1) // postorder of the reverse DFS
-	type frame struct{ v, i int }
-	stack := []frame{{exit, 0}}
-	visited[exit] = true
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.i < len(radj[f.v]) {
-			u := radj[f.v][f.i]
-			f.i++
-			if !visited[u] {
-				visited[u] = true
-				stack = append(stack, frame{u, 0})
-			}
-		} else {
-			po[f.v] = len(order)
-			order = append(order, f.v)
-			stack = stack[:len(stack)-1]
-		}
-	}
-
-	idom := make([]int, n+1)
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[exit] = exit
-	intersect := func(a, b int) int {
-		for a != b {
-			for po[a] < po[b] {
-				a = idom[a]
-			}
-			for po[b] < po[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		// Reverse postorder of the reverse graph, skipping the exit root
-		// (last in postorder).
-		for i := len(order) - 2; i >= 0; i-- {
-			v := order[i]
-			newIdom := -1
-			// Predecessors in the reverse graph are forward successors.
-			for _, u := range fsucc(v) {
-				if idom[u] < 0 {
-					continue
-				}
-				if newIdom < 0 {
-					newIdom = u
-				} else {
-					newIdom = intersect(newIdom, u)
-				}
-			}
-			if newIdom >= 0 && idom[v] != newIdom {
-				idom[v] = newIdom
-				changed = true
-			}
-		}
-	}
-
-	out := make([]int, n)
-	for v := 0; v < n; v++ {
-		if !visited[v] || idom[v] < 0 || idom[v] == exit {
-			out[v] = -1
-		} else {
-			out[v] = idom[v]
-		}
-	}
-	return out
 }
 
 // instUses returns the registers an instruction reads.
@@ -570,49 +327,32 @@ func instDef(in isa.Inst) (isa.Reg, bool) {
 // from entry. It only runs when the kernel declared its input registers
 // (DeclareInputs/DeclareRegion): without the declared entry state every ABI
 // input would be a false positive.
-func (p *Program) checkDefUse(reach []bool) []Finding {
+func (p *Program) checkDefUse() []Finding {
 	if !p.inputsDeclared {
 		return nil
 	}
 	const abiRegs = 0b1111 // r0 hardwired, r1 tid, r2 nthreads, r3 local idx
-	entry := abiRegs | p.inputs
-	n := len(p.Blocks)
-	full := ^uint32(0)
-	in := make([]uint32, n)
-	for i := range in {
-		in[i] = full
-	}
-	in[0] = entry
-	transfer := func(blk Block, s uint32) uint32 {
-		for pc := blk.Start; pc < blk.End; pc++ {
-			if d, ok := instDef(p.Code[pc]); ok {
-				s |= 1 << d
-			}
-		}
-		return s
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if !reach[i] {
-				continue
-			}
-			out := transfer(p.Blocks[i], in[i])
-			for _, s := range p.Blocks[i].Succ {
-				if nv := in[s] & out; nv != in[s] {
-					in[s] = nv
-					changed = true
+	in, _, _ := solveForward(p, uint32(abiRegs)|p.inputs, 0,
+		func(b int, s *uint32) {
+			for pc := p.Blocks[b].Start; pc < p.Blocks[b].End; pc++ {
+				if d, ok := instDef(p.Code[pc]); ok {
+					*s |= 1 << d
 				}
 			}
-		}
-	}
+		},
+		nil,
+		func(_ int, dst, s *uint32) bool {
+			old := *dst
+			*dst &= *s
+			return *dst != old
+		})
 	var fs []Finding
-	for i := 0; i < n; i++ {
-		if !reach[i] {
+	for i, blk := range p.Blocks {
+		if !p.cfg.reach[i] {
 			continue
 		}
 		s := in[i]
-		for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
+		for pc := blk.Start; pc < blk.End; pc++ {
 			inst := p.Code[pc]
 			for _, r := range instUses(inst) {
 				if r != 0 && s&(1<<r) == 0 {
@@ -634,8 +374,9 @@ func (p *Program) checkDefUse(reach []bool) []Finding {
 // never be read, plus writes to the hardwired r0. Both are Warn: harmless
 // at runtime, but in a hand-written benchmark they usually mean the kernel
 // does not compute what its author thought.
-func (p *Program) checkDeadDefs(reach []bool) []Finding {
+func (p *Program) checkDeadDefs() []Finding {
 	n := len(p.Blocks)
+	reach := p.cfg.reach
 	liveIn := make([]uint32, n)
 	blockLive := func(i int) uint32 {
 		var live uint32
@@ -697,139 +438,63 @@ func (p *Program) checkDeadDefs(reach []bool) []Finding {
 	return fs
 }
 
-// varyingSets computes, per basic block, the set of registers whose value
-// may differ across the threads of a warp at block entry (a forward
-// may-analysis with union joins). The launch ABI makes r1 (global tid) and
-// r3 (local index) varying; loads are conservatively varying because they
-// depend on a possibly-varying address and on memory contents.
-func (p *Program) varyingSets(reach []bool) []uint32 {
-	n := len(p.Blocks)
-	vin := make([]uint32, n)
-	vin[0] = 1<<1 | 1<<3
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if !reach[i] {
-				continue
-			}
-			v := vin[i]
-			for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
-				v = stepVarying(p.Code[pc], v)
-			}
-			for _, s := range p.Blocks[i].Succ {
-				if nv := vin[s] | v; nv != vin[s] {
-					vin[s] = nv
-					changed = true
-				}
-			}
-		}
-	}
-	return vin
-}
-
-func stepVarying(in isa.Inst, v uint32) uint32 {
-	if !in.Op.WritesDst() || in.Dst == 0 {
-		return v
-	}
-	varying := in.Op == isa.LD ||
-		(in.Op.ReadsA() && v&(1<<in.SrcA) != 0) ||
-		(in.Op.ReadsB() && v&(1<<in.SrcB) != 0)
-	if varying {
-		return v | 1<<in.Dst
-	}
-	return v &^ (1 << in.Dst)
-}
-
-// checkBarriers flags barriers reachable between a potentially divergent
-// branch and that branch's re-convergence point — the deadlock DWS must
-// never create (§3.4): if the warp splits at the branch, only some lanes
-// arrive at the barrier while the rest wait beyond it. The divergence taint
-// cannot see warp-uniform tid predicates (e.g. a branch every lane of a warp
-// takes the same way), so the finding is Warn, not Err.
-func (p *Program) checkBarriers(reach []bool) []Finding {
-	hasBarrier := false
-	for _, in := range p.Code {
+// checkBarriers flags barriers inside the divergence region of a branch
+// the divergence analysis does not prove warp-uniform — the same verdict
+// the WPU uses to decide whether the branch can split a warp — the
+// deadlock DWS must never create (§3.4): if the warp splits at the branch,
+// only some lanes arrive at the barrier while the rest wait beyond its
+// re-convergence point. The analysis cannot see every warp-uniform tid
+// predicate (e.g. a branch every lane of a warp takes the same way), so
+// the finding is Warn, not Err.
+func (p *Program) checkBarriers() []Finding {
+	var barriers []int
+	for pc, in := range p.Code {
 		if in.Op == isa.BARRIER {
-			hasBarrier = true
-			break
+			barriers = append(barriers, pc)
 		}
 	}
-	if !hasBarrier {
+	if len(barriers) == 0 {
 		return nil
 	}
-	varying := p.varyingSets(reach)
-	blockOf := p.blockOf()
+	blockOf := p.cfg.blockOf
 	// flagged[barrier pc] -> lowest divergent branch pc that reaches it.
 	flagged := make(map[int]int)
 	for pc, in := range p.Code {
-		if !in.Op.IsBranch() {
+		region := p.cfg.region[blockOf[pc]]
+		if !in.Op.IsBranch() || region == nil || p.branches[pc].Uniform {
 			continue
 		}
-		b := blockOf[pc]
-		if !reach[b] || len(p.Blocks[b].Succ) < 2 {
-			continue
-		}
-		v := varying[b]
-		for q := p.Blocks[b].Start; q < pc; q++ {
-			v = stepVarying(p.Code[q], v)
-		}
-		if v&(1<<in.SrcA) == 0 {
-			continue // warp-uniform predicate
-		}
-		// Blocks reachable from the branch before its re-convergence point.
-		stopBlock := -1
-		if bi, ok := p.branches[pc]; ok && bi.IPdom != NoIPdom {
-			stopBlock = blockOf[bi.IPdom]
-		}
-		region := make([]bool, len(p.Blocks))
-		stack := append([]int(nil), p.Blocks[b].Succ...)
-		for len(stack) > 0 {
-			w := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if w == stopBlock || region[w] {
-				continue
-			}
-			region[w] = true
-			stack = append(stack, p.Blocks[w].Succ...)
-		}
-		for q, in2 := range p.Code {
-			if in2.Op != isa.BARRIER || !region[blockOf[q]] {
-				continue
-			}
-			if _, dup := flagged[q]; !dup {
+		for _, q := range barriers {
+			if _, dup := flagged[q]; !dup && region.has(blockOf[q]) {
 				flagged[q] = pc
 			}
 		}
 	}
 	var fs []Finding
-	pcs := make([]int, 0, len(flagged))
-	for q := range flagged {
-		pcs = append(pcs, q)
-	}
-	sort.Ints(pcs)
-	for _, q := range pcs {
-		fs = append(fs, Finding{
-			Check: "barrier-divergence", Severity: Warn, PC: q, Block: blockOf[q],
-			Msg: fmt.Sprintf("barrier reachable under potentially divergent branch @pc %d before re-convergence: a warp whose lanes disagree there deadlocks here", flagged[q]),
-		})
+	for _, q := range barriers {
+		if br, ok := flagged[q]; ok {
+			fs = append(fs, Finding{
+				Check: "barrier-divergence", Severity: Warn, PC: q, Block: blockOf[q],
+				Msg: fmt.Sprintf("barrier reachable under potentially divergent branch @pc %d before re-convergence: a warp whose lanes disagree there deadlocks here", br),
+			})
+		}
 	}
 	return fs
 }
 
 // checkBounds consumes the exact-affine component of the divergence
-// analysis (dataflow.go, the vExact kind — the successor of the previous
-// ad-hoc affine pattern-matcher here) and flags loads/stores whose
+// analysis (dataflow.go, the vExact kind) and flags loads/stores whose
 // effective address provably falls outside the declared memory region for
 // every launch of up to DeclareThreads threads. It only fires where the
 // address is region-relative and affine in the thread id with exact
 // constant coefficients; anything data-dependent is left to the functional
 // checks.
-func (p *Program) checkBounds(div *divResult) []Finding {
+func (p *Program) checkBounds() []Finding {
 	if len(p.regions) == 0 {
 		return nil
 	}
 	var fs []Finding
-	for _, a := range div.accesses {
+	for _, a := range p.addrs {
 		if f, bad := p.boundsAt(a.pc, a.block, a.val, a.imm); bad {
 			fs = append(fs, f)
 		}
@@ -837,17 +502,14 @@ func (p *Program) checkBounds(div *divResult) []Finding {
 	return fs
 }
 
-// checkMemAccess recomputes the static access-pattern table (memaccess.go)
-// from the fresh divergence run and compares it against the table Build
-// recorded — the table the WPU's subdivide-on-miss hints and per-pc
-// transaction bounds are derived from, so a stale entry would prune probes
-// or flag concordance violations based on facts the code no longer has.
-// It also cross-checks the table against the exact-affine bounds domain:
-// where the address is region-relative with exact coefficients, the
-// recorded stride must equal the tid coefficient the bounds check uses,
+// checkMemAccess cross-checks the access-pattern table (memaccess.go) —
+// the table the WPU's subdivide-on-miss hints and per-pc transaction
+// bounds are derived from — against the exact-affine bounds domain, a
+// different abstraction of the same address: where the address is exact
+// with a tid coefficient, the recorded stride must equal that coefficient,
 // and the recorded footprint must fit inside the bounds check's offset
 // span for any launch of at least a warp's worth of threads.
-func (p *Program) checkMemAccess(div *divResult) []Finding {
+func (p *Program) checkMemAccess() []Finding {
 	var fs []Finding
 	add := func(pc, blk int, format string, args ...any) {
 		fs = append(fs, Finding{
@@ -855,29 +517,13 @@ func (p *Program) checkMemAccess(div *divResult) []Finding {
 			Msg: fmt.Sprintf(format, args...),
 		})
 	}
-	want := p.buildMemAccess(div, DefaultMemParams)
-	if len(want) != len(p.memAccess) {
-		add(-1, -1, "recorded access table has %d entries, fresh analysis has %d", len(p.memAccess), len(want))
-		return fs
-	}
-	for i, w := range want {
+	for i, a := range p.addrs {
 		g := p.memAccess[i]
-		if g != w {
-			add(w.PC, div.accesses[i].block,
-				"recorded access verdict %s %s disagrees with fresh analysis %s %s",
-				g.AClass, g.boundSummary(), w.AClass, w.boundSummary())
-			continue
-		}
-		a := div.accesses[i]
 		if a.val.kind != vExact {
 			continue
 		}
-		if cls := a.val.class(); cls != g.Class {
-			add(w.PC, a.block, "bounds domain sees class %s, recorded table says %s", cls, g.Class)
-			continue
-		}
-		if g.Class != ClassDivergent && a.val.stride() != g.StrideBytes {
-			add(w.PC, a.block, "bounds domain tid coefficient %d, recorded stride %d", a.val.stride(), g.StrideBytes)
+		if a.val.stride() != g.StrideBytes {
+			add(g.PC, a.block, "bounds domain tid coefficient %d, recorded stride %d", a.val.stride(), g.StrideBytes)
 			continue
 		}
 		// Footprint vs the bounds-check offset span: with block-distributed
@@ -889,7 +535,7 @@ func (p *Program) checkMemAccess(div *divResult) []Finding {
 				span = -span
 			}
 			if g.FootprintBytes > span+isa.WordSize {
-				add(w.PC, a.block, "footprint %d B exceeds the bounds-domain span %d B for %d threads",
+				add(g.PC, a.block, "footprint %d B exceeds the bounds-domain span %d B for %d threads",
 					g.FootprintBytes, span+isa.WordSize, p.maxThreads)
 			}
 		}

@@ -237,50 +237,35 @@ func TestRegionDeclValidation(t *testing.T) {
 	}
 }
 
-// TestReconvergenceMismatchDetected: hand-tampering a built program's
-// branch metadata is caught by the verifier's independent CHK
-// recomputation.
-func TestReconvergenceMismatchDetected(t *testing.T) {
-	p := mustIfElse(t)
-	for pc, bi := range p.branches {
-		bi.IPdom = NoIPdom // lie: claim the paths never re-join
-		p.branches[pc] = bi
+// TestMustVerifyReusesBuildFindings: Build keeps its verifier findings and
+// MustVerify checks those instead of running every analysis again, so it
+// costs (almost) nothing on top of MustBuild.
+func TestMustVerifyReusesBuildFindings(t *testing.T) {
+	kernel := func() *Builder {
+		b := NewBuilder("alloc")
+		b.DeclareRegion(4, 64)
+		b.DeclareThreads(16)
+		b.Movi(5, 0)
+		b.Label("head")
+		b.Slt(6, 5, 2)
+		b.Beqz(6, "exit")
+		b.Shli(7, 1, 3)
+		b.Add(7, 7, 4)
+		b.Ld(8, 7, 0)
+		b.Bnez(8, "skip")
+		b.Addi(8, 8, 1)
+		b.Label("skip")
+		b.St(8, 7, 0)
+		b.Addi(5, 5, 1)
+		b.Jmp("head")
+		b.Label("exit")
+		b.Halt()
+		return b
 	}
-	fs := findingsWith(p.Verify(), "reconvergence")
-	if len(fs) == 0 {
-		t.Fatal("tampered re-convergence metadata not detected")
-	}
-	for _, f := range fs {
-		if f.Severity != Err {
-			t.Fatalf("reconvergence mismatch must be an error: %v", f)
-		}
-	}
-}
-
-// TestReconvPCMatchesBranchMetadata: the verified re-convergence table the
-// WPU consumes agrees with the branch metadata on a healthy program.
-func TestReconvPCMatchesBranchMetadata(t *testing.T) {
-	p := mustIfElse(t)
-	if !p.Verified() {
-		t.Fatal("built program is not marked verified")
-	}
-	checked := 0
-	for pc, in := range p.Code {
-		if !in.Op.IsBranch() {
-			continue
-		}
-		r, ok := p.ReconvPC(pc)
-		if !ok {
-			t.Fatalf("no reconv entry for branch @pc %d", pc)
-		}
-		bi, _ := p.Branch(pc)
-		if r != bi.IPdom {
-			t.Fatalf("branch @pc %d: reconv table %d != metadata ipdom %d", pc, r, bi.IPdom)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("kernel has no branches — test is vacuous")
+	build := testing.AllocsPerRun(20, func() { kernel().MustBuild() })
+	verify := testing.AllocsPerRun(20, func() { kernel().MustVerify() })
+	if verify > build*1.05 {
+		t.Errorf("MustVerify allocates %.0f objects, MustBuild %.0f: more than 5%% extra", verify, build)
 	}
 }
 
@@ -309,6 +294,19 @@ func TestVerifyOnTamperedCode(t *testing.T) {
 	fs := p.Verify()
 	if len(findingsWith(fs, "cfg-shape")) == 0 {
 		t.Fatalf("invalid opcode not caught by shape check: %v", fs)
+	}
+}
+
+// TestBuildRejectsOutOfRangeRegister: a raw-emitted operand past the
+// register file fails the build with a cfg-shape error; the shape check
+// runs before any analysis indexes the register file by it.
+func TestBuildRejectsOutOfRangeRegister(t *testing.T) {
+	b := NewBuilder("bad-reg")
+	b.Emit(isa.Inst{Op: isa.ADD, Dst: 5, SrcA: 40, SrcB: 2})
+	b.Halt()
+	_, err := b.Build()
+	if err == nil || !strings.Contains(err.Error(), "cfg-shape") || !strings.Contains(err.Error(), "r40") {
+		t.Fatalf("want a cfg-shape error naming r40, got %v", err)
 	}
 }
 

@@ -12,19 +12,15 @@ import (
 	"repro/internal/wpu"
 )
 
-// Cost-model exhibit (static analysis): the static cycle bounds, the
-// predicted stall split, and the static scheme ranking of
-// program.CostModel confronted with measured runs. The bounds table
-// shows, per benchmark under the Conv baseline, measured TickCycles
-// inside the static [lo, hi] claim and the measured vs predicted
-// four-way stall composition; the ranking table grades the static
-// 13-scheme ordering against the measured-best scheme over all 13
-// schemes (the agreement criterion EXPERIMENTS.md records: measured
-// best inside the static top 3).
+// Cost-model exhibit (static analysis): the sound static cycle bounds of
+// program.CostModel confronted with measured runs. The table shows, per
+// benchmark under the Conv baseline, measured TickCycles inside the static
+// [lo, hi] claim; the CSV carries the same check for every (benchmark,
+// scheme) point.
 
 // CostModelRow is one (benchmark, scheme) point: measured cycles against
-// the static claim, plus both ranks. Static quantities are summed over
-// the benchmark's kernel launches.
+// the static claim. Static quantities are summed over the benchmark's
+// kernel launches.
 type CostModelRow struct {
 	Bench    string
 	Scheme   wpu.Scheme
@@ -32,24 +28,21 @@ type CostModelRow struct {
 	TickLo   int64  // static lower bound
 	TickHi   int64  // static upper bound (≥ program.CostInf: unbounded)
 	InBounds bool
-	Est      float64 // static scheme estimate (heuristic, lower = better)
-	StatRank int     // 1-based rank of the scheme in the static ordering
-	MeasRank int     // 1-based rank by measured cycles
+	MeasRank int // 1-based rank by measured cycles
 }
 
-// benchCost is the static side for one benchmark: bounds, exposure-
-// weighted predicted split, and per-scheme estimates summed over the
-// benchmark's launches.
-type benchCost struct {
-	tickLo, tickHi int64
-	pred           [4]float64
-	est            map[wpu.Scheme]float64
+// benchBounds is the static tick bound for one benchmark, summed over its
+// launches.
+type benchBounds struct{ lo, hi int64 }
+
+func (b benchBounds) contains(cycles uint64) bool {
+	return int64(cycles) >= b.lo && (b.hi >= program.CostInf || int64(cycles) <= b.hi)
 }
 
-// staticBenchCosts computes the static cost models of every benchmark's
+// staticBenchBounds computes the static cost models of every benchmark's
 // launches (no simulation) under the given machine configuration.
-func staticBenchCosts(cfg sim.Config) (map[string]*benchCost, error) {
-	out := make(map[string]*benchCost)
+func staticBenchBounds(cfg sim.Config) (map[string]benchBounds, error) {
+	out := make(map[string]benchBounds)
 	type mkey struct {
 		prog    *program.Program
 		threads int
@@ -64,10 +57,7 @@ func staticBenchCosts(cfg sim.Config) (map[string]*benchCost, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
-		bc := &benchCost{est: make(map[wpu.Scheme]float64)}
-		out[spec.Name] = bc
-		var predW [4]float64
-		var wsum float64
+		var bb benchBounds
 		for _, st := range inst.Steps() {
 			k := mkey{st.Prog, len(st.Threads)}
 			m := models[k]
@@ -75,40 +65,25 @@ func staticBenchCosts(cfg sim.Config) (map[string]*benchCost, error) {
 				m = st.Prog.CostModelFor(sim.CostParamsFor(cfg, len(st.Threads)))
 				models[k] = m
 			}
-			bc.tickLo += m.Ticks.Lo
-			if bc.tickHi < program.CostInf {
+			bb.lo += m.Ticks.Lo
+			if bb.hi < program.CostInf {
 				if m.Ticks.Unbounded() {
-					bc.tickHi = program.CostInf
+					bb.hi = program.CostInf
 				} else {
-					bc.tickHi += m.Ticks.Hi
+					bb.hi += m.Ticks.Hi
 				}
 			}
-			var w float64 // exposure weight: the launch's baseline estimate
-			for _, sc := range m.Ranking {
-				bc.est[wpu.Scheme(sc.Scheme)] += sc.Est
-				if sc.Scheme == string(wpu.SchemeConv) {
-					w = sc.Est
-				}
-			}
-			for i := range predW {
-				predW[i] += m.Predicted[i] * w
-			}
-			wsum += w
 		}
-		if wsum > 0 {
-			for i := range predW {
-				bc.pred[i] = predW[i] / wsum
-			}
-		}
+		out[spec.Name] = bb
 	}
 	return out, nil
 }
 
 // CostModel runs the suite under all 13 schemes and prints the
-// bounds-vs-measured table and the static-vs-measured ranking table; the
-// returned rows feed CostModelCSV.
+// bounds-vs-measured table for the Conv baseline; the returned rows (every
+// scheme) feed CostModelCSV.
 func (s *Session) CostModel(w io.Writer) ([]CostModelRow, error) {
-	static, err := staticBenchCosts(DefaultKnobs(wpu.SchemeConv).Config())
+	static, err := staticBenchBounds(DefaultKnobs(wpu.SchemeConv).Config())
 	if err != nil {
 		return nil, err
 	}
@@ -120,85 +95,34 @@ func (s *Session) CostModel(w io.Writer) ([]CostModelRow, error) {
 		return nil, err
 	}
 
-	type meas struct {
-		cycles uint64
-		frac   [4]float64
-	}
-	measured := make(map[string]map[wpu.Scheme]meas)
+	fmt.Fprintln(w, "Cost model (static analysis): measured cycles vs static bounds, Conv baseline")
+	t := newTable(w, "bench", "cycles", "static bound", "in")
+	var rows []CostModelRow
 	for _, b := range BenchNames() {
-		measured[b] = make(map[wpu.Scheme]meas)
+		bb := static[b]
+		cycles := make(map[wpu.Scheme]uint64)
 		for _, sc := range wpu.AllSchemes {
 			r, err := s.Run(b, DefaultKnobs(sc))
 			if err != nil {
 				return nil, err
 			}
-			m := meas{cycles: r.Stats.TickCycles}
-			if total := float64(r.Stats.TickCycles); total > 0 {
-				bk := r.Stats.CycleBuckets()
-				for i := 0; i < 4; i++ {
-					m.frac[i] = float64(bk[i]) / total
-				}
-			}
-			measured[b][sc] = m
+			cycles[sc] = r.Stats.TickCycles
 		}
-	}
+		conv := cycles[wpu.SchemeConv]
+		t.row(b, strconv.FormatUint(conv, 10), program.CostInterval{Lo: bb.lo, Hi: bb.hi}.String(),
+			okMark(bb.contains(conv)))
 
-	boundStr := func(lo, hi int64) string {
-		return program.CostInterval{Lo: lo, Hi: hi}.String()
-	}
-
-	fmt.Fprintln(w, "Cost model (static analysis): measured cycles vs static bounds, Conv baseline")
-	fmt.Fprintln(w, "(frac columns: measured/predicted share of busy, coherent-memory, divergent-memory, barrier cycles)")
-	t := newTable(w, "bench", "cycles", "static bound", "in", "busy", "mem_coh", "mem_div", "barrier")
-	for _, b := range BenchNames() {
-		bc := static[b]
-		mv := measured[b][wpu.SchemeConv]
-		in := int64(mv.cycles) >= bc.tickLo && (bc.tickHi >= program.CostInf || int64(mv.cycles) <= bc.tickHi)
-		cell := func(i int) string {
-			return fmt.Sprintf("%.2f/%.2f", mv.frac[i], bc.pred[i])
-		}
-		t.row(b, strconv.FormatUint(mv.cycles, 10), boundStr(bc.tickLo, bc.tickHi),
-			okMark(in), cell(0), cell(1), cell(2), cell(3))
-	}
-	t.flush()
-
-	var rows []CostModelRow
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Static scheme ranking vs measured best (agreement: measured best in static top 3)")
-	rt := newTable(w, "bench", "measured best", "static top 3", "rank", "agree")
-	agreed := 0
-	for _, b := range BenchNames() {
-		bc := static[b]
-		statOrder := append([]wpu.Scheme(nil), wpu.AllSchemes...)
-		sort.SliceStable(statOrder, func(i, j int) bool { return bc.est[statOrder[i]] < bc.est[statOrder[j]] })
-		measOrder := append([]wpu.Scheme(nil), wpu.AllSchemes...)
-		sort.SliceStable(measOrder, func(i, j int) bool {
-			return measured[b][measOrder[i]].cycles < measured[b][measOrder[j]].cycles
-		})
-		statRank := make(map[wpu.Scheme]int)
-		for i, sc := range statOrder {
-			statRank[sc] = i + 1
-		}
-		for i, sc := range measOrder {
-			mv := measured[b][sc]
-			in := int64(mv.cycles) >= bc.tickLo && (bc.tickHi >= program.CostInf || int64(mv.cycles) <= bc.tickHi)
+		order := append([]wpu.Scheme(nil), wpu.AllSchemes...)
+		sort.SliceStable(order, func(i, j int) bool { return cycles[order[i]] < cycles[order[j]] })
+		for i, sc := range order {
 			rows = append(rows, CostModelRow{
-				Bench: b, Scheme: sc, Cycles: mv.cycles,
-				TickLo: bc.tickLo, TickHi: bc.tickHi, InBounds: in,
-				Est: bc.est[sc], StatRank: statRank[sc], MeasRank: i + 1,
+				Bench: b, Scheme: sc, Cycles: cycles[sc],
+				TickLo: bb.lo, TickHi: bb.hi, InBounds: bb.contains(cycles[sc]),
+				MeasRank: i + 1,
 			})
 		}
-		best := measOrder[0]
-		rank := statRank[best]
-		agree := rank <= 3
-		if agree {
-			agreed++
-		}
-		top3 := fmt.Sprintf("%s < %s < %s", statOrder[0], statOrder[1], statOrder[2])
-		rt.row(b, string(best), top3, strconv.Itoa(rank), okMark(agree))
 	}
-	rt.flush()
-	fmt.Fprintf(w, "agreement: %d/%d benchmarks\n", agreed, len(BenchNames()))
+	t.flush()
 	return rows, nil
 }
 
@@ -211,7 +135,7 @@ func okMark(ok bool) string {
 
 // CostModelCSV writes the full (benchmark, scheme) grid.
 func CostModelCSV(dir string, rows []CostModelRow) error {
-	header := []string{"bench", "scheme", "cycles", "tick_lo", "tick_hi", "in_bounds", "static_est", "static_rank", "measured_rank"}
+	header := []string{"bench", "scheme", "cycles", "tick_lo", "tick_hi", "in_bounds", "measured_rank"}
 	var out [][]string
 	for _, r := range rows {
 		hi := "inf"
@@ -224,8 +148,7 @@ func CostModelCSV(dir string, rows []CostModelRow) error {
 		}
 		out = append(out, []string{
 			r.Bench, string(r.Scheme), strconv.FormatUint(r.Cycles, 10),
-			strconv.FormatInt(r.TickLo, 10), hi, in,
-			fs(r.Est), strconv.Itoa(r.StatRank), strconv.Itoa(r.MeasRank),
+			strconv.FormatInt(r.TickLo, 10), hi, in, strconv.Itoa(r.MeasRank),
 		})
 	}
 	return writeCSV(dir, "costmodel.csv", header, out)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"repro/internal/wpu"
@@ -14,8 +13,8 @@ import (
 // side is pure analysis and the measured side is the deterministic
 // simulator, so the table is reproducible) and checks the row grid:
 // every (benchmark, scheme) point present, every measured cycle count
-// inside the static bounds, and both rank columns forming permutations
-// of 1..13 per benchmark.
+// inside the static bounds, and the measured-rank column forming a
+// permutation of 1..13 per benchmark.
 func TestCostModelExhibit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -30,26 +29,19 @@ func TestCostModelExhibit(t *testing.T) {
 	if want := len(BenchNames()) * len(wpu.AllSchemes); len(rows) != want {
 		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
-	statRanks := map[string]map[int]bool{}
 	measRanks := map[string]map[int]bool{}
 	for _, r := range rows {
 		if !r.InBounds {
 			t.Errorf("%s/%s: measured %d outside static bound [%d,%d]",
 				r.Bench, r.Scheme, r.Cycles, r.TickLo, r.TickHi)
 		}
-		for name, m := range map[string]map[string]map[int]bool{"static": statRanks, "measured": measRanks} {
-			rank := r.StatRank
-			if name == "measured" {
-				rank = r.MeasRank
-			}
-			if m[r.Bench] == nil {
-				m[r.Bench] = map[int]bool{}
-			}
-			if rank < 1 || rank > len(wpu.AllSchemes) || m[r.Bench][rank] {
-				t.Errorf("%s/%s: bad or duplicate %s rank %d", r.Bench, r.Scheme, name, rank)
-			}
-			m[r.Bench][rank] = true
+		if measRanks[r.Bench] == nil {
+			measRanks[r.Bench] = map[int]bool{}
 		}
+		if r.MeasRank < 1 || r.MeasRank > len(wpu.AllSchemes) || measRanks[r.Bench][r.MeasRank] {
+			t.Errorf("%s/%s: bad or duplicate measured rank %d", r.Bench, r.Scheme, r.MeasRank)
+		}
+		measRanks[r.Bench][r.MeasRank] = true
 	}
 
 	path := filepath.Join("testdata", "costmodel_exhibit.golden")
@@ -71,7 +63,7 @@ func TestCostModelCSV(t *testing.T) {
 	dir := t.TempDir()
 	rows := []CostModelRow{
 		{Bench: "Filter", Scheme: wpu.SchemeConv, Cycles: 100,
-			TickLo: 10, TickHi: 1000, InBounds: true, Est: 90.5, StatRank: 2, MeasRank: 1},
+			TickLo: 10, TickHi: 1000, InBounds: true, MeasRank: 1},
 	}
 	if err := CostModelCSV(dir, rows); err != nil {
 		t.Fatal(err)
@@ -81,10 +73,7 @@ func TestCostModelCSV(t *testing.T) {
 		t.Fatalf("%d CSV lines, want 2", len(got))
 	}
 	if got[1][0] != "Filter" || got[1][1] != "Conv" || got[1][2] != "100" ||
-		got[1][3] != "10" || got[1][4] != "1000" || got[1][5] != "1" {
+		got[1][3] != "10" || got[1][4] != "1000" || got[1][5] != "1" || got[1][6] != "1" {
 		t.Fatalf("row %q", got[1])
-	}
-	if _, err := strconv.ParseFloat(got[1][6], 64); err != nil {
-		t.Fatalf("static_est %q: %v", got[1][6], err)
 	}
 }

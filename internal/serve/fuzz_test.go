@@ -22,6 +22,7 @@ func FuzzJobDecode(f *testing.F) {
 	f.Add([]byte(`{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv"},"extra":1}`))
 	f.Add([]byte(`{"schema_version":1}{"schema_version":1}`))
 	f.Add([]byte(`{"knobs":{"dist":"diagonal"}}`))
+	f.Add([]byte(`{"schema_version":1,"bench":"FFT","knobs":{"scheme":"Conv","scale":3}}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`nulltrailing`))
 	f.Add([]byte(``))

@@ -230,6 +230,11 @@ func (w WireKnobs) validate() *Error {
 			return badRequest("knobs.%s = %d out of range [0, %d]", b.name, b.v, b.max)
 		}
 	}
+	if w.Scale != 0 { // 0 means the default scale
+		if err := workloads.CheckScale(w.Scale); err != nil {
+			return badRequest("knobs.scale: %v", err)
+		}
+	}
 	switch w.Dist {
 	case "", "block", "interleave":
 	default:

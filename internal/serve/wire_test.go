@@ -109,6 +109,8 @@ func TestDecodeJobRequest(t *testing.T) {
 		{"trace_every without trace", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv"},"trace_every":500}`, http.StatusBadRequest},
 		{"knob out of range", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","wpus":65}}`, http.StatusBadRequest},
 		{"negative knob", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","l1kb":-1}}`, http.StatusBadRequest},
+		{"scale 2", `{"schema_version":1,"bench":"Merge","knobs":{"scheme":"Conv","scale":2}}`, 0},
+		{"scale not a power of two", `{"schema_version":1,"bench":"Merge","knobs":{"scheme":"Conv","scale":3}}`, http.StatusBadRequest},
 		{"bad dist", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","dist":"diagonal"}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

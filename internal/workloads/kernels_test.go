@@ -5,6 +5,7 @@ package workloads
 // branchiest benchmarks.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -180,6 +181,30 @@ func TestAllWithScaleClampsAndLists(t *testing.T) {
 	}
 	if _, err := ByNameScaled("nope", 2); err == nil {
 		t.Fatal("unknown scaled benchmark accepted")
+	}
+}
+
+// TestByNameScaledRejectsBadScale: a scale that is not a power of two is
+// refused up front with an error naming it, instead of failing
+// verification (Merge), dying at launch (FFT) or aliasing a smaller
+// scale's input (LU).
+func TestByNameScaledRejectsBadScale(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		scale int
+		ok    bool
+	}{
+		{"Merge", 1, true}, {"FFT", 2, true}, {"LU", 4, true}, {"Filter", 8, true},
+		{"Merge", 3, false}, {"FFT", 3, false}, {"LU", 3, false}, {"Filter", 6, false},
+		{"Short", 0, false}, {"SVM", -2, false},
+	} {
+		_, err := ByNameScaled(c.bench, c.scale)
+		if c.ok != (err == nil) {
+			t.Errorf("ByNameScaled(%s, %d): err = %v, want ok=%v", c.bench, c.scale, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("scale %d", c.scale)) {
+			t.Errorf("ByNameScaled(%s, %d): error %q does not name the scale", c.bench, c.scale, err)
+		}
 	}
 }
 

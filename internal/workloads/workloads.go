@@ -102,8 +102,24 @@ func BuildSVM(sys *sim.System) (*Instance, error)     { return buildSVM(sys, 1) 
 // ByName returns the named benchmark spec at the default scale.
 func ByName(name string) (Spec, error) { return ByNameScaled(name, 1) }
 
-// ByNameScaled returns the named benchmark spec at the given scale.
+// CheckScale accepts an input-size multiplier only when it is a power of
+// two ≥ 1. FFT and Merge need power-of-two sizes, and LU grows its side by
+// isqrt(scale), so any other value would fail verification, die at launch,
+// or rerun a smaller scale's input under a different result key. Every
+// front end that takes a scale applies this one rule.
+func CheckScale(scale int) error {
+	if scale < 1 || scale&(scale-1) != 0 {
+		return fmt.Errorf("workloads: scale %d is not a power of two >= 1 (1, 2, 4, 8, ...)", scale)
+	}
+	return nil
+}
+
+// ByNameScaled returns the named benchmark spec at the given scale, which
+// must pass CheckScale.
 func ByNameScaled(name string, scale int) (Spec, error) {
+	if err := CheckScale(scale); err != nil {
+		return Spec{}, err
+	}
 	for _, s := range AllWithScale(scale) {
 		if s.Name == name {
 			return s, nil

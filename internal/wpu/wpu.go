@@ -1109,9 +1109,9 @@ func (w *WPU) execBranch(s *Split, d *isa.Decoded) {
 	if w.trace != nil {
 		w.emit(obs.EvBranchDiverge, s.warp.id, s.pc, taken, notTaken)
 	}
-	// Re-convergence comes from the verified table (recomputed by the
-	// verifier's independent post-dominator pass), folded into the decoded
-	// stream at Build time; -1 encodes program.NoIPdom.
+	// Re-convergence comes from the branch's immediate post-dominator,
+	// folded into the decoded stream at Build time; -1 encodes
+	// program.NoIPdom.
 	reconvPC := int(d.Reconv)
 	if reconvPC < 0 {
 		reconvPC = program.NoIPdom
